@@ -124,7 +124,7 @@ std::vector<std::vector<std::uint32_t>> SelectConfigs(
 /// Builds one side's sub-tensor: pivot configs crossed with free configs
 /// (optionally a random `cell_density` subset of the cross product),
 /// remaining modes pinned at the space defaults.
-tensor::SparseTensor BuildSide(
+Result<tensor::SparseTensor> BuildSide(
     ensemble::SimulationModel* model, const PfPartition& partition, int side,
     const std::vector<std::vector<std::uint32_t>>& pivot_configs,
     const std::vector<std::vector<std::uint32_t>>& side_configs,
@@ -161,8 +161,9 @@ tensor::SparseTensor BuildSide(
     cells = rng->SampleWithoutReplacement(cross, keep);
   }
 
+  // Points full_index and sub_index at cross-product cell `cell`.
   std::vector<std::uint32_t> sub_index(shape.size());
-  for (std::uint64_t cell : cells) {
+  auto place = [&](std::uint64_t cell) {
     const auto& pivot = pivot_configs[cell / side_configs.size()];
     const auto& free_cfg = side_configs[cell % side_configs.size()];
     for (std::size_t i = 0; i < partition.pivot_modes.size(); ++i) {
@@ -173,6 +174,18 @@ tensor::SparseTensor BuildSide(
       full_index[free_modes[i]] = free_cfg[i];
       sub_index[partition.pivot_modes.size() + i] = free_cfg[i];
     }
+  };
+
+  std::vector<std::vector<std::uint32_t>> sampled;
+  sampled.reserve(cells.size());
+  for (std::uint64_t cell : cells) {
+    place(cell);
+    sampled.push_back(full_index);
+  }
+  M2TD_RETURN_IF_ERROR(model->WarmTrajectories(sampled));
+
+  for (std::uint64_t cell : cells) {
+    place(cell);
     sub.AppendEntry(sub_index, model->Cell(full_index));
     ++(*cells_evaluated);
   }
@@ -212,12 +225,14 @@ Result<SubEnsembles> BuildSubEnsembles(ensemble::SimulationModel* model,
       SelectConfigs(space, partition.side2_modes, options.side_density,
                     options.config_selection, &rng);
 
-  out.x1 = BuildSide(model, partition, 1, out.pivot_configs,
-                     out.side1_configs, options.cell_density, &rng,
-                     &out.cells_evaluated);
-  out.x2 = BuildSide(model, partition, 2, out.pivot_configs,
-                     out.side2_configs, options.cell_density, &rng,
-                     &out.cells_evaluated);
+  M2TD_ASSIGN_OR_RETURN(
+      out.x1, BuildSide(model, partition, 1, out.pivot_configs,
+                        out.side1_configs, options.cell_density, &rng,
+                        &out.cells_evaluated));
+  M2TD_ASSIGN_OR_RETURN(
+      out.x2, BuildSide(model, partition, 2, out.pivot_configs,
+                        out.side2_configs, options.cell_density, &rng,
+                        &out.cells_evaluated));
   span.Annotate("cells_evaluated", out.cells_evaluated);
   span.Annotate("x1_nnz", out.x1.NumNonZeros());
   span.Annotate("x2_nnz", out.x2.NumNonZeros());

@@ -23,6 +23,7 @@ struct PfPartition {
   std::vector<std::size_t> side1_modes;
   std::vector<std::size_t> side2_modes;
 
+  /// Modes covered by the partition (pivots plus both sides).
   std::size_t NumModes() const {
     return pivot_modes.size() + side1_modes.size() + side2_modes.size();
   }

@@ -296,16 +296,22 @@ Result<tensor::SparseTensor> BuildConventionalEnsemble(
       std::vector<std::vector<std::uint32_t>> combos,
       SelectParameterCombinations(space, time_mode, scheme, budget, rng));
 
+  // Full-space cells (time index 0) of the combinations, in read order.
+  std::vector<std::vector<std::uint32_t>> cells(
+      combos.size(), std::vector<std::uint32_t>(space.num_modes(), 0));
+  for (std::size_t c = 0; c < combos.size(); ++c) {
+    std::size_t cursor = 0;
+    for (std::size_t m = 0; m < space.num_modes(); ++m) {
+      if (m != time_mode) cells[c][m] = combos[c][cursor++];
+    }
+  }
+  M2TD_RETURN_IF_ERROR(model->WarmTrajectories(cells));
+
   tensor::SparseTensor ensemble(space.Shape());
   const std::uint32_t time_res = space.Resolution(time_mode);
   ensemble.Reserve(combos.size() * time_res);
-  std::vector<std::uint32_t> indices(space.num_modes());
-  for (const std::vector<std::uint32_t>& combo : combos) {
+  for (std::vector<std::uint32_t>& indices : cells) {
     M2TD_RETURN_IF_ERROR(robust::CheckCancelled());
-    std::size_t cursor = 0;
-    for (std::size_t m = 0; m < space.num_modes(); ++m) {
-      if (m != time_mode) indices[m] = combo[cursor++];
-    }
     for (std::uint32_t t = 0; t < time_res; ++t) {
       indices[time_mode] = t;
       ensemble.AppendEntry(indices, model->Cell(indices));
@@ -438,6 +444,9 @@ Result<tensor::SparseTensor> BuildConventionalEnsembleRobust(
           kept = true;
           break;
         }
+        // A cancelled simulation reads NaN without having failed; stop
+        // instead of counting it and drawing a replacement.
+        M2TD_RETURN_IF_ERROR(robust::CheckCancelled());
         ++rep->failed_simulations;
         obs::GetCounter("robust.ensemble_failed_fibers").Add(1);
         if (rep->replacement_draws >= options.max_replacement_draws ||

@@ -1,9 +1,15 @@
 #include "ensemble/simulation_model.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <unordered_set>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "parallel/parallel_for.h"
+#include "robust/cancel.h"
 #include "robust/failpoint.h"
 #include "sim/lorenz.h"
 #include "sim/pendulum.h"
@@ -43,18 +49,21 @@ std::uint64_t DynamicalSystemModel::ParamLinearIndex(
   return linear;
 }
 
-const sim::Trajectory& DynamicalSystemModel::GetTrajectory(
-    const std::vector<std::uint32_t>& indices) {
-  const std::uint64_t key = ParamLinearIndex(indices);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-
+std::vector<double> DynamicalSystemModel::ParamValues(
+    const std::vector<std::uint32_t>& indices) const {
   std::vector<double> params(space_.num_modes() - 1);
   for (std::size_t m = 1; m < space_.num_modes(); ++m) {
     params[m - 1] = space_.Value(m, indices[m]);
   }
-  Result<sim::Trajectory> trajectory = factory_(params);
+  return params;
+}
+
+const sim::Trajectory& DynamicalSystemModel::Memoize(
+    std::uint64_t key, Result<sim::Trajectory> trajectory) {
+  static obs::Counter& simulated =
+      obs::GetCounter("ensemble.trajectories_simulated");
   ++simulations_run_;
+  simulated.Increment();
   const Status injected = robust::CheckFailpoint("sim.trajectory");
   if (!trajectory.ok() || !injected.ok()) {
     // A failed simulation poisons its whole time fiber with NaN instead of
@@ -81,10 +90,76 @@ const sim::Trajectory& DynamicalSystemModel::GetTrajectory(
       .first->second;
 }
 
+const sim::Trajectory* DynamicalSystemModel::GetTrajectory(
+    const std::vector<std::uint32_t>& indices) {
+  const std::uint64_t key = ParamLinearIndex(indices);
+  auto it = cache_.find(key);
+  if (it != cache_.end()) return &it->second;
+  Result<sim::Trajectory> trajectory = factory_(ParamValues(indices));
+  // A cancelled run says nothing about the parameters: memoizing it as a
+  // failure would poison a fiber the next, uncancelled read could fill.
+  if (robust::IsCancellation(trajectory.status())) return nullptr;
+  return &Memoize(key, std::move(trajectory));
+}
+
 double DynamicalSystemModel::Cell(const std::vector<std::uint32_t>& indices) {
   M2TD_CHECK(indices.size() == space_.num_modes());
-  const sim::Trajectory& trajectory = GetTrajectory(indices);
-  return sim::ObservableDistance(trajectory, reference_, indices[0]);
+  const sim::Trajectory* trajectory = GetTrajectory(indices);
+  if (trajectory == nullptr) return std::numeric_limits<double>::quiet_NaN();
+  return sim::ObservableDistance(*trajectory, reference_, indices[0]);
+}
+
+Status DynamicalSystemModel::WarmTrajectories(
+    const std::vector<std::vector<std::uint32_t>>& cells) {
+  // The combinations a Cell() loop over `cells` would simulate, in the
+  // order it would simulate them.
+  std::vector<std::uint64_t> keys;
+  std::vector<const std::vector<std::uint32_t>*> todo;
+  std::unordered_set<std::uint64_t> seen;
+  for (const std::vector<std::uint32_t>& cell : cells) {
+    M2TD_CHECK(cell.size() == space_.num_modes());
+    const std::uint64_t key = ParamLinearIndex(cell);
+    if (cache_.count(key) != 0 || !seen.insert(key).second) continue;
+    keys.push_back(key);
+    todo.push_back(&cell);
+  }
+  if (todo.empty()) return Status::OK();
+
+  const std::uint64_t count = todo.size();
+  const std::uint64_t threads =
+      static_cast<std::uint64_t>(parallel::GlobalPool().num_threads());
+  obs::ObsSpan span("simulate");
+  span.Annotate("trajectories", count);
+  span.Annotate("threads", threads);
+
+  // Each slot is written by exactly one chunk; the memo itself is only
+  // touched below, on this thread.
+  std::vector<std::optional<Result<sim::Trajectory>>> slots(count);
+  Status region;
+  try {
+    parallel::ParallelFor(
+        0, count, std::max<std::uint64_t>(1, count / (16 * threads)),
+        [&](std::uint64_t begin, std::uint64_t end) {
+          for (std::uint64_t i = begin; i < end; ++i) {
+            slots[i].emplace(factory_(ParamValues(*todo[i])));
+          }
+        },
+        "simulate_trajectories");
+  } catch (const robust::CancelledError& error) {
+    region = error.ToStatus();
+  }
+
+  // Memoize in first-read order, stopping at the first trajectory a
+  // cancellation left unfinished: the serial Cell() loop would have
+  // stopped there too.
+  for (std::uint64_t i = 0; i < count; ++i) {
+    if (!slots[i].has_value()) return region;
+    if (robust::IsCancellation(slots[i]->status())) {
+      return slots[i]->status();
+    }
+    Memoize(keys[i], std::move(*slots[i]));
+  }
+  return region;
 }
 
 namespace {
@@ -231,9 +306,30 @@ Result<tensor::DenseTensor> BuildFullTensor(SimulationModel* model) {
   if (model == nullptr) {
     return Status::InvalidArgument("model must not be null");
   }
+  obs::ObsSpan span("ground_truth");
   const ParameterSpace& space = model->space();
   tensor::DenseTensor full(space.Shape());
   const std::size_t modes = space.num_modes();
+  const std::size_t time_mode = model->time_mode();
+
+  // Every parameter combination at time index 0, in row-major order —
+  // the order the loop below first reads them in, whatever the time mode.
+  std::vector<std::uint64_t> combo_shape = space.Shape();
+  combo_shape[time_mode] = 1;
+  std::uint64_t num_combos = 1;
+  for (std::uint64_t d : combo_shape) num_combos *= d;
+  std::vector<std::vector<std::uint32_t>> combos(
+      num_combos, std::vector<std::uint32_t>(modes, 0));
+  for (std::uint64_t c = 0; c < num_combos; ++c) {
+    std::uint64_t rest = c;
+    for (std::size_t m = modes; m-- > 0;) {
+      combos[c][m] = static_cast<std::uint32_t>(rest % combo_shape[m]);
+      rest /= combo_shape[m];
+    }
+  }
+  span.Annotate("combinations", num_combos);
+  M2TD_RETURN_IF_ERROR(model->WarmTrajectories(combos));
+
   std::vector<std::uint32_t> idx(modes, 0);
   for (std::uint64_t linear = 0; linear < full.NumElements(); ++linear) {
     std::uint64_t rest = linear;

@@ -25,6 +25,7 @@ class SimulationModel {
  public:
   virtual ~SimulationModel() = default;
 
+  /// The full simulation space the model's cells index.
   virtual const ParameterSpace& space() const = 0;
 
   /// Which mode is the time axis.
@@ -32,6 +33,21 @@ class SimulationModel {
 
   /// Cell value for a full multi-index over space().
   virtual double Cell(const std::vector<std::uint32_t>& indices) = 0;
+
+  /// \brief Runs, ahead of the Cell() reads, the simulations behind
+  /// `cells` (full multi-indices over space(); the time entry is
+  /// ignored), listed in the order the caller will first read them.
+  ///
+  /// A model with a trajectory memo warms it, possibly in parallel, so the
+  /// caller's Cell() loop afterwards only hits the memo; the values,
+  /// SimulationsRun() and failure handling must be exactly those the
+  /// Cell() loop alone would produce. Returns Cancelled/DeadlineExceeded
+  /// when the ambient CancelToken fired before every simulation finished.
+  /// The default does nothing: Cell() simulates on a miss anyway.
+  virtual Status WarmTrajectories(
+      const std::vector<std::vector<std::uint32_t>>& /*cells*/) {
+    return Status::OK();
+  }
 
   /// Number of simulations (trajectories) actually executed so far; the
   /// experiment harness uses this to account for simulation budgets.
@@ -49,8 +65,19 @@ class SimulationModel {
 /// memoized per parameter multi-index, so evaluating a whole time fiber
 /// costs one simulation — mirroring the fact that one simulation run yields
 /// all timestamps.
+///
+/// A failed simulation (factory error or a fired `sim.trajectory`
+/// failpoint) is counted and memoized as a NaN-poisoned fiber. A cancelled
+/// one (the factory returned Cancelled/DeadlineExceeded) is neither
+/// memoized nor counted: its Cell() reads NaN and the next read simulates
+/// again. The model is not thread-safe; only WarmTrajectories() fans the
+/// factory out over the shared pool.
 class DynamicalSystemModel : public SimulationModel {
  public:
+  /// Simulates one parameter combination (the parameter-mode values, time
+  /// excluded). WarmTrajectories() calls it concurrently from pool
+  /// threads, so it must be a pure function of its parameters: no shared
+  /// mutable state, same trajectory for the same values on every call.
   using TrajectoryFactory =
       std::function<Result<sim::Trajectory>(const std::vector<double>&)>;
 
@@ -61,11 +88,28 @@ class DynamicalSystemModel : public SimulationModel {
       std::string name, ParameterSpace space, TrajectoryFactory factory,
       std::vector<double> reference_params);
 
+  /// The model's space: time at mode 0, then the parameter modes.
   const ParameterSpace& space() const override { return space_; }
+  /// Distance to the reference at the cell's timestamp; simulates the
+  /// cell's trajectory on a memo miss.
   double Cell(const std::vector<std::uint32_t>& indices) override;
+  /// \brief Simulates the not-yet-memoized trajectories behind `cells` on
+  /// the shared pool, then memoizes them serially in first-read order.
+  ///
+  /// Duplicates and memoized combinations are skipped. Insertion goes
+  /// through the same path as a Cell() miss, so simulation counts,
+  /// `sim.trajectory` failpoint firing order and fiber poisoning match the
+  /// serial Cell() loop exactly. On cancellation only the trajectories
+  /// before the first unfinished one (in first-read order) are memoized.
+  Status WarmTrajectories(
+      const std::vector<std::vector<std::uint32_t>>& cells) override;
+  /// Trajectories simulated since creation or the last ClearCache(),
+  /// failed ones included; equals the number of memoized trajectories.
   std::uint64_t SimulationsRun() const override { return simulations_run_; }
+  /// The name given at creation.
   const std::string& name() const override { return name_; }
 
+  /// The observed trajectory every cell is compared against.
   const sim::Trajectory& reference_trajectory() const { return reference_; }
 
   /// Drops all memoized trajectories (budget accounting in experiments that
@@ -87,8 +131,20 @@ class DynamicalSystemModel : public SimulationModel {
   std::uint64_t ParamLinearIndex(
       const std::vector<std::uint32_t>& indices) const;
 
-  const sim::Trajectory& GetTrajectory(
+  /// Parameter-mode values of the cell at `indices`.
+  std::vector<double> ParamValues(
+      const std::vector<std::uint32_t>& indices) const;
+
+  /// The memoized trajectory for `indices`, simulating it on a miss; null
+  /// when the simulation was cancelled (nothing is memoized then).
+  const sim::Trajectory* GetTrajectory(
       const std::vector<std::uint32_t>& indices);
+
+  /// Counts a finished (non-cancelled) simulation, checks the
+  /// `sim.trajectory` failpoint, and memoizes `trajectory` under `key` —
+  /// NaN-poisoned when it failed.
+  const sim::Trajectory& Memoize(std::uint64_t key,
+                                 Result<sim::Trajectory> trajectory);
 
   std::string name_;
   ParameterSpace space_;

@@ -98,6 +98,12 @@ void ChainPendulum::Derivative(double /*t*/, const std::vector<double>& state,
     double acc = -gravity_ * a_matrix_[i][i] * std::sin(theta[i]) -
                  friction_ * omega[i];
     for (std::size_t j = 0; j < n; ++j) {
+      // On the diagonal delta == 0: cos gives exactly 1 and the sin term
+      // subtracts +0, so skipping the trig is bit-identical.
+      if (j == i) {
+        m[i][i] = a_matrix_[i][i];
+        continue;
+      }
       const double delta = theta[i] - theta[j];
       m[i][j] = a_matrix_[i][j] * std::cos(delta);
       acc -= a_matrix_[i][j] * std::sin(delta) * omega[j] * omega[j];

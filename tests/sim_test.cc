@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -7,6 +9,7 @@
 #include "sim/lorenz.h"
 #include "sim/ode.h"
 #include "sim/pendulum.h"
+#include "util/random.h"
 
 namespace m2td::sim {
 namespace {
@@ -196,6 +199,94 @@ TEST(ChainPendulumTest, ObservableIsAnglesOnly) {
   const std::vector<double> state = {0.1, 0.2, 5.0, 6.0};
   const std::vector<double> obs = pendulum->Observable(state);
   EXPECT_EQ(obs, (std::vector<double>{0.1, 0.2}));
+}
+
+/// The chain-pendulum derivative as written before the diagonal of the
+/// mass matrix skipped its trig calls: the full j-loop, then Gaussian
+/// elimination with partial pivoting. Bit-exactness oracle.
+std::vector<double> LoopDerivativeOracle(const std::vector<double>& masses,
+                                         double gravity, double friction,
+                                         const std::vector<double>& state) {
+  const std::size_t n = masses.size();
+  std::vector<double> suffix(n + 1, 0.0);
+  for (std::size_t k = n; k-- > 0;) suffix[k] = suffix[k + 1] + masses[k];
+  std::vector<std::vector<double>> a(n, std::vector<double>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) a[i][j] = suffix[std::max(i, j)];
+  }
+  const double* theta = state.data();
+  const double* omega = state.data() + n;
+  std::vector<std::vector<double>> m(n, std::vector<double>(n));
+  std::vector<double> rhs(n), alpha(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = -gravity * a[i][i] * std::sin(theta[i]) - friction * omega[i];
+    for (std::size_t j = 0; j < n; ++j) {
+      const double delta = theta[i] - theta[j];
+      m[i][j] = a[i][j] * std::cos(delta);
+      acc -= a[i][j] * std::sin(delta) * omega[j] * omega[j];
+    }
+    rhs[i] = acc;
+  }
+  for (std::size_t col = 0; col < n; ++col) {
+    std::size_t pivot = col;
+    double best = std::fabs(m[col][col]);
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double v = std::fabs(m[r][col]);
+      if (v > best) {
+        best = v;
+        pivot = r;
+      }
+    }
+    if (pivot != col) {
+      for (std::size_t j = col; j < n; ++j) std::swap(m[col][j], m[pivot][j]);
+      std::swap(rhs[col], rhs[pivot]);
+    }
+    const double inv = 1.0 / m[col][col];
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double factor = m[r][col] * inv;
+      if (factor == 0.0) continue;
+      for (std::size_t j = col; j < n; ++j) m[r][j] -= factor * m[col][j];
+      rhs[r] -= factor * rhs[col];
+    }
+  }
+  for (std::size_t ri = n; ri-- > 0;) {
+    double sum = rhs[ri];
+    for (std::size_t j = ri + 1; j < n; ++j) sum -= m[ri][j] * alpha[j];
+    alpha[ri] = sum / m[ri][ri];
+  }
+  std::vector<double> derivative(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    derivative[i] = omega[i];
+    derivative[n + i] = alpha[i];
+  }
+  return derivative;
+}
+
+TEST(ChainPendulumTest, DerivativeBitIdenticalToFullLoop) {
+  Rng rng(2024);
+  for (std::size_t n : {2u, 3u}) {
+    for (double friction : {0.0, 0.35}) {
+      std::vector<double> masses(n);
+      for (double& mass : masses) mass = rng.UniformDouble(0.5, 2.5);
+      auto pendulum = ChainPendulum::Create(masses, 9.81, friction);
+      ASSERT_TRUE(pendulum.ok());
+      std::vector<double> state(2 * n), derivative(2 * n);
+      for (int sample = 0; sample < 128; ++sample) {
+        for (std::size_t i = 0; i < n; ++i) {
+          state[i] = rng.UniformDouble(-std::numbers::pi, std::numbers::pi);
+          state[n + i] = rng.UniformDouble(-6.0, 6.0);
+        }
+        pendulum->Derivative(0.0, state, &derivative);
+        const std::vector<double> want =
+            LoopDerivativeOracle(masses, 9.81, friction, state);
+        for (std::size_t k = 0; k < 2 * n; ++k) {
+          EXPECT_EQ(derivative[k], want[k])
+              << "n=" << n << " friction=" << friction << " sample "
+              << sample << " component " << k;
+        }
+      }
+    }
+  }
 }
 
 TEST(ChainPendulumTest, AtRestStaysAtRest) {
