@@ -1,8 +1,8 @@
 #include "core/je_stitch.h"
 
-#include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <functional>
+#include <map>
+#include <set>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -18,9 +18,9 @@ struct SideEntry {
   double value;
 };
 
-/// Per-pivot-configuration group of one side's simulations.
-using PivotGroups =
-    std::unordered_map<std::uint64_t, std::vector<SideEntry>>;
+/// Per-pivot-configuration group of one side's simulations, in ascending
+/// pivot key order.
+using PivotGroups = std::map<std::uint64_t, std::vector<SideEntry>>;
 
 std::vector<std::uint64_t> ModeDims(
     const std::vector<std::uint64_t>& full_shape,
@@ -31,8 +31,9 @@ std::vector<std::uint64_t> ModeDims(
   return dims;
 }
 
-/// Groups a sub-tensor's entries by pivot configuration. The sub-tensor's
-/// first k modes are the pivots, the rest the side's free modes.
+/// Groups a coalesced sub-tensor's entries by pivot configuration. The
+/// sub-tensor's first k modes are the pivots, the rest the side's free
+/// modes, so within a group the side keys come in ascending order.
 PivotGroups GroupByPivot(const tensor::SparseTensor& sub, std::size_t k) {
   PivotGroups groups;
   const std::size_t modes = sub.num_modes();
@@ -48,6 +49,23 @@ PivotGroups GroupByPivot(const tensor::SparseTensor& sub, std::size_t k) {
     groups[pivot_key].push_back(SideEntry{side_key, sub.Value(e)});
   }
   return groups;
+}
+
+/// The values of `pivot_key`'s group in `groups` aligned with `candidates`
+/// (ascending, and a superset of the group's side keys); null where the
+/// group has no simulation.
+std::vector<const double*> AlignToCandidates(
+    const PivotGroups& groups, std::uint64_t pivot_key,
+    const std::vector<std::uint64_t>& candidates) {
+  std::vector<const double*> aligned(candidates.size(), nullptr);
+  const auto it = groups.find(pivot_key);
+  if (it == groups.end()) return aligned;
+  std::size_t c = 0;
+  for (const SideEntry& e : it->second) {
+    while (candidates[c] != e.side_key) ++c;
+    aligned[c] = &e.value;
+  }
+  return aligned;
 }
 
 /// Writes the decoded `key` over `dims` into `out` at the positions given
@@ -136,7 +154,7 @@ Result<tensor::SparseTensor> JeStitch(
   PivotGroups groups2 = GroupByPivot(subs.x2, k);
 
   if (!options.zero_join) {
-    // Pivot keys in map iteration order; the chunked scan preserves this
+    // Pivot keys in ascending order; the chunked scan preserves this
     // order, so the appended entry sequence matches the serial loop.
     std::vector<std::uint64_t> pivot_keys;
     pivot_keys.reserve(groups1.size());
@@ -161,6 +179,9 @@ Result<tensor::SparseTensor> JeStitch(
             }
           }
         });
+    // Pivot keys and the free keys under each are ascending, so for a
+    // pivot-first layout the join already is canonical and this is only
+    // the verify scan; other layouts are counting-sorted.
     join.SortAndCoalesce(tensor::CoalescePolicy::kMean);
     span.Annotate("join_nnz", join.NumNonZeros());
     stitched_cells.Add(join.NumNonZeros());
@@ -170,46 +191,39 @@ Result<tensor::SparseTensor> JeStitch(
 
   // Zero-join: candidate free configurations are those selected anywhere in
   // the respective sub-ensemble; a pair joins if either member exists.
-  std::unordered_set<std::uint64_t> cand1_set, cand2_set;
+  std::set<std::uint64_t> cand1_set, cand2_set, pivot_union;
   for (const auto& [pivot_key, list] : groups1) {
+    pivot_union.insert(pivot_key);
     for (const SideEntry& e : list) cand1_set.insert(e.side_key);
   }
   for (const auto& [pivot_key, list] : groups2) {
+    pivot_union.insert(pivot_key);
     for (const SideEntry& e : list) cand2_set.insert(e.side_key);
   }
-  std::vector<std::uint64_t> cand1(cand1_set.begin(), cand1_set.end());
-  std::vector<std::uint64_t> cand2(cand2_set.begin(), cand2_set.end());
-  std::sort(cand1.begin(), cand1.end());
-  std::sort(cand2.begin(), cand2.end());
-
-  std::unordered_set<std::uint64_t> pivot_union;
-  for (const auto& [pivot_key, list] : groups1) pivot_union.insert(pivot_key);
-  for (const auto& [pivot_key, list] : groups2) pivot_union.insert(pivot_key);
-  std::vector<std::uint64_t> union_keys(pivot_union.begin(),
-                                        pivot_union.end());
+  const std::vector<std::uint64_t> cand1(cand1_set.begin(), cand1_set.end());
+  const std::vector<std::uint64_t> cand2(cand2_set.begin(), cand2_set.end());
+  const std::vector<std::uint64_t> union_keys(pivot_union.begin(),
+                                              pivot_union.end());
 
   tensor::SparseTensor join = StitchOverKeys(
       union_keys, full_shape,
       [&](std::uint64_t pivot_key, tensor::SparseTensor& local,
           std::vector<std::uint32_t>& indices) {
         ScatterKey(pivot_key, pivot_dims, partition.pivot_modes, &indices);
-        // Per-pivot lookup tables.
-        std::unordered_map<std::uint64_t, double> lookup1, lookup2;
-        if (auto it = groups1.find(pivot_key); it != groups1.end()) {
-          for (const SideEntry& e : it->second) lookup1[e.side_key] = e.value;
-        }
-        if (auto it = groups2.find(pivot_key); it != groups2.end()) {
-          for (const SideEntry& e : it->second) lookup2[e.side_key] = e.value;
-        }
-        for (std::uint64_t key1 : cand1) {
-          const auto v1 = lookup1.find(key1);
-          ScatterKey(key1, side1_dims, partition.side1_modes, &indices);
-          for (std::uint64_t key2 : cand2) {
-            const auto v2 = lookup2.find(key2);
-            if (v1 == lookup1.end() && v2 == lookup2.end()) continue;
-            const double a = (v1 != lookup1.end()) ? v1->second : 0.0;
-            const double b = (v2 != lookup2.end()) ? v2->second : 0.0;
-            ScatterKey(key2, side2_dims, partition.side2_modes, &indices);
+        const std::vector<const double*> values1 =
+            AlignToCandidates(groups1, pivot_key, cand1);
+        const std::vector<const double*> values2 =
+            AlignToCandidates(groups2, pivot_key, cand2);
+        for (std::size_t i1 = 0; i1 < cand1.size(); ++i1) {
+          const double* v1 = values1[i1];
+          ScatterKey(cand1[i1], side1_dims, partition.side1_modes, &indices);
+          for (std::size_t i2 = 0; i2 < cand2.size(); ++i2) {
+            const double* v2 = values2[i2];
+            if (v1 == nullptr && v2 == nullptr) continue;
+            const double a = (v1 != nullptr) ? *v1 : 0.0;
+            const double b = (v2 != nullptr) ? *v2 : 0.0;
+            ScatterKey(cand2[i2], side2_dims, partition.side2_modes,
+                       &indices);
             local.AppendEntry(indices, 0.5 * (a + b));
           }
         }

@@ -30,6 +30,14 @@ struct StitchOptions {
 /// free configurations per side this turns 2*P*E simulations into up to
 /// P*E^2 join cells — the effective-density squaring at the heart of the
 /// paper. Inputs must be coalesced; the output is coalesced.
+///
+/// Pivot keys are emitted in ascending order (in both the plain and the
+/// zero-join branch), and within a pivot the side-1 and then side-2 free
+/// keys in ascending order. For a pivot-first layout (pivot modes, then
+/// side-1 modes, then side-2 modes, each list ascending, as in the
+/// paper's time-pivot default) the join is therefore canonical by
+/// construction, and its final SortAndCoalesce is only the verify scan;
+/// other layouts are counting-sorted there.
 Result<tensor::SparseTensor> JeStitch(const SubEnsembles& subs,
                                       const PfPartition& partition,
                                       const std::vector<std::uint64_t>&

@@ -85,12 +85,16 @@ void ThreadPool::RunRegion(const std::shared_ptr<internal::Region>& region) {
   // this is the serial path, and from inside a pool worker it is what
   // makes nested regions deadlock-free.
   ExecuteChunks(*region);
+  std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(region->mu);
     region->done_cv.wait(
         lock, [&] { return region->completed == region->num_chunks; });
-    if (region->error) std::rethrow_exception(region->error);
+    // Take the region's reference: a worker that drops the last Region
+    // reference later must not release the exception being rethrown here.
+    error = std::move(region->error);
   }
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::WorkerLoop() {

@@ -1,6 +1,5 @@
 #include "tensor/csf.h"
 
-#include <algorithm>
 #include <numeric>
 
 #include "obs/metrics.h"
@@ -22,36 +21,24 @@ CsfModeIndex CsfModeIndex::Build(const SparseTensor& x, std::size_t mode) {
   CsfModeIndex out;
   out.mode_ = mode;
   const std::size_t modes = x.num_modes();
-  out.other_dims_.reserve(modes - 1);
+  std::vector<std::size_t> other_modes;
   for (std::size_t m = 0; m < modes; ++m) {
-    if (m != mode) out.other_dims_.push_back(x.dim(m));
+    if (m == mode) continue;
+    other_modes.push_back(m);
+    out.other_dims_.push_back(x.dim(m));
   }
 
   const std::uint64_t nnz = x.NumNonZeros();
   const std::size_t n = static_cast<std::size_t>(nnz);
-  std::vector<std::uint64_t> columns(n);
-  for (std::uint64_t e = 0; e < nnz; ++e) {
-    columns[static_cast<std::size_t>(e)] = x.MatricizationColumn(mode, e);
-  }
-
-  // Fiber order is (column, leaf). For the last mode the stored
-  // lexicographic order already is exactly that, so the permutation is
-  // the identity and the sort is skipped. Coalescing guarantees the
-  // (column, leaf) pairs are unique, so the order is total and the
-  // permutation deterministic.
+  // Fiber order is (column, leaf), and column order is lexicographic
+  // order over the other modes. A stable sort on just those modes,
+  // starting from the stored lexicographic order, leaves equal-column
+  // entries in ascending leaf order. For the last mode the stored order
+  // already is fiber order, so the sort is skipped.
   const std::vector<std::uint32_t>& leaf = x.IndexArray(mode);
   std::vector<std::uint64_t> perm(n);
   std::iota(perm.begin(), perm.end(), 0);
-  if (mode + 1 != modes) {
-    std::sort(perm.begin(), perm.end(),
-              [&](std::uint64_t a, std::uint64_t b) {
-                const std::uint64_t ca = columns[static_cast<std::size_t>(a)];
-                const std::uint64_t cb = columns[static_cast<std::size_t>(b)];
-                if (ca != cb) return ca < cb;
-                return leaf[static_cast<std::size_t>(a)] <
-                       leaf[static_cast<std::size_t>(b)];
-              });
-  }
+  if (mode + 1 != modes) perm = StableLexOrder(x, other_modes);
 
   out.leaf_coords_.resize(n);
   out.values_.resize(n);
@@ -59,7 +46,7 @@ CsfModeIndex CsfModeIndex::Build(const SparseTensor& x, std::size_t mode) {
     const std::size_t e = static_cast<std::size_t>(perm[p]);
     out.leaf_coords_[p] = leaf[e];
     out.values_[p] = x.Value(e);
-    const std::uint64_t column = columns[e];
+    const std::uint64_t column = x.MatricizationColumn(mode, e);
     if (out.fiber_columns_.empty() || out.fiber_columns_.back() != column) {
       out.fiber_offsets_.push_back(static_cast<std::uint64_t>(p));
       out.fiber_columns_.push_back(column);

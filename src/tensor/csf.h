@@ -27,10 +27,14 @@ class SparseTensor;
 /// them in, which is what keeps the CSF kernels bit-identical to the COO
 /// reference kernels.
 ///
-/// Build cost: one O(nnz · N) column computation plus one O(nnz log nnz)
-/// sort (skipped when the target is the last mode, where the stored
-/// lexicographic order already is fiber order). The index is immutable
-/// after Build; all accessors are const and safe to share across threads.
+/// Build cost: O(nnz · N) and no comparison sort. StableLexOrder runs one
+/// counting pass per non-target mode (two for a mode longer than 65,536)
+/// over the stored lexicographic order; stability keeps the entries of a
+/// fiber in ascending leaf order. The passes are skipped when the target
+/// is the last mode, where the stored order already is fiber order. Then
+/// one O(nnz · N) sweep computes columns and gathers leaves and values.
+/// The index is immutable after Build; all accessors are const and safe
+/// to share across threads.
 ///
 /// Observability: each build runs under span "csf_build" (annotated with
 /// mode/nnz/fibers) and bumps counters `tensor.csf.builds` /

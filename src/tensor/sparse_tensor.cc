@@ -5,6 +5,7 @@
 #include <numeric>
 #include <string>
 
+#include "obs/trace.h"
 #include "tensor/csf.h"
 #include "util/string_util.h"
 
@@ -123,23 +124,30 @@ void SparseTensor::SortAndCoalesce(CoalescePolicy policy) {
   // Contents are (potentially) about to change: detach from the shared
   // CSF cache so stale fiber indexes can never be served afterwards.
   csf_cache_ = std::make_shared<CsfCache>(shape_.size());
+  obs::ObsSpan span("sort_coalesce");
   const std::uint64_t n = values_.size();
-  if (n == 0) {
-    sorted_ = true;
-    return;
-  }
-  std::vector<std::uint64_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
   const std::size_t modes = shape_.size();
-  std::sort(order.begin(), order.end(),
-            [this, modes](std::uint64_t a, std::uint64_t b) {
-              for (std::size_t m = 0; m < modes; ++m) {
-                if (indices_[m][a] != indices_[m][b]) {
-                  return indices_[m][a] < indices_[m][b];
-                }
-              }
-              return false;
-            });
+  span.Annotate("nnz", n);
+  auto lex_less = [this, modes](std::uint64_t a, std::uint64_t b) {
+    for (std::size_t m = 0; m < modes; ++m) {
+      if (indices_[m][a] != indices_[m][b]) {
+        return indices_[m][a] < indices_[m][b];
+      }
+    }
+    return false;
+  };
+  // Strictly increasing input (e.g. a pivot-first JE-stitch join) is
+  // already canonical: nothing to reorder or merge.
+  std::uint64_t ascending = 1;
+  while (ascending < n && lex_less(ascending - 1, ascending)) ++ascending;
+  const bool presorted = ascending >= n;
+  span.Annotate("presorted", presorted ? "true" : "false");
+  sorted_ = true;
+  if (presorted) return;
+
+  std::vector<std::size_t> all_modes(modes);
+  std::iota(all_modes.begin(), all_modes.end(), 0);
+  const std::vector<std::uint64_t> order = StableLexOrder(*this, all_modes);
 
   std::vector<std::vector<std::uint32_t>> new_indices(modes);
   std::vector<double> new_values;
@@ -148,16 +156,11 @@ void SparseTensor::SortAndCoalesce(CoalescePolicy policy) {
   new_values.reserve(n);
   run_counts.reserve(n);
 
-  auto same_coords = [this, modes](std::uint64_t a, std::uint64_t b) {
-    for (std::size_t m = 0; m < modes; ++m) {
-      if (indices_[m][a] != indices_[m][b]) return false;
-    }
-    return true;
-  };
-
+  // The sort is stable, so each run of equal coordinates lists its
+  // duplicates in append order and the merge is their left fold.
   for (std::uint64_t pos = 0; pos < n; ++pos) {
     const std::uint64_t e = order[pos];
-    if (!new_values.empty() && same_coords(e, order[pos - 1])) {
+    if (pos > 0 && !lex_less(order[pos - 1], e)) {
       new_values.back() += values_[e];
       ++run_counts.back();
     } else {
@@ -177,7 +180,6 @@ void SparseTensor::SortAndCoalesce(CoalescePolicy policy) {
 
   indices_ = std::move(new_indices);
   values_ = std::move(new_values);
-  sorted_ = true;
 }
 
 std::optional<double> SparseTensor::Find(
@@ -287,6 +289,41 @@ std::uint64_t SparseTensor::MatricizationColumn(std::size_t mode,
     column = column * shape_[m] + indices_[m][entry];
   }
   return column;
+}
+
+std::vector<std::uint64_t> StableLexOrder(
+    const SparseTensor& x, const std::vector<std::size_t>& modes) {
+  constexpr unsigned kDigitBits = 16;
+  constexpr std::uint32_t kDigitMask = (1u << kDigitBits) - 1;
+  const std::size_t n = static_cast<std::size_t>(x.NumNonZeros());
+  std::vector<std::uint64_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<std::uint64_t> scratch(n);
+  std::vector<std::uint64_t> starts;
+  // Least significant digit of the last mode first; stability carries
+  // each pass's order into the ties of the next.
+  for (std::size_t i = modes.size(); i-- > 0;) {
+    const std::vector<std::uint32_t>& keys = x.IndexArray(modes[i]);
+    const std::uint64_t max_key = x.dim(modes[i]) - 1;
+    for (unsigned shift = 0; shift == 0 || (max_key >> shift) != 0;
+         shift += kDigitBits) {
+      const std::uint64_t digits =
+          std::min<std::uint64_t>((max_key >> shift) + 1, kDigitMask + 1);
+      starts.assign(digits + 1, 0);
+      // Digit counts do not depend on the current order.
+      for (std::uint32_t key : keys) {
+        ++starts[((key >> shift) & kDigitMask) + 1];
+      }
+      // One digit holds every entry: the stable pass would be the identity.
+      if (std::find(starts.begin(), starts.end(), n) != starts.end()) continue;
+      std::partial_sum(starts.begin(), starts.end(), starts.begin());
+      for (std::uint64_t e : order) {
+        scratch[starts[(keys[e] >> shift) & kDigitMask]++] = e;
+      }
+      order.swap(scratch);
+    }
+  }
+  return order;
 }
 
 }  // namespace m2td::tensor

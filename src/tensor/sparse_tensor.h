@@ -92,6 +92,14 @@ class SparseTensor {
 
   /// Sorts entries lexicographically by coordinates and merges duplicates
   /// per `policy`. Idempotent.
+  ///
+  /// The sort is StableLexOrder over every mode, so duplicates of one
+  /// coordinate are merged in append order: under kSum the stored value
+  /// is the left fold ((v0 + v1) + v2) + ... of the duplicates in the
+  /// order they were appended, and under kMean that fold divided by the
+  /// count. Input that is already strictly increasing (sorted and
+  /// duplicate-free) is detected in one O(nnz · N) scan and left as is.
+  /// Runs under span "sort_coalesce" (annotated nnz, presorted).
   void SortAndCoalesce(CoalescePolicy policy = CoalescePolicy::kSum);
 
   bool IsSorted() const { return sorted_; }
@@ -145,6 +153,19 @@ class SparseTensor {
   // default-constructed 0-mode tensor.
   std::shared_ptr<CsfCache> csf_cache_;
 };
+
+/// \brief Stable LSD counting sort of `x`'s entry ids by their
+/// coordinates on `modes`.
+///
+/// Returns the permutation of [0, nnz) that orders the entries
+/// lexicographically by (Index(modes[0], e), Index(modes[1], e), ...);
+/// entries with equal keys keep ascending id order. One counting pass per
+/// mode, from the last listed mode to the first, with 16-bit digits (two
+/// passes for a mode longer than 65,536). O(nnz · |modes|) time, one u64
+/// of scratch per entry, and no comparisons.
+std::vector<std::uint64_t> StableLexOrder(const SparseTensor& x,
+                                          const std::vector<std::size_t>&
+                                              modes);
 
 }  // namespace m2td::tensor
 
