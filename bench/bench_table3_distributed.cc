@@ -44,7 +44,7 @@ int main() {
   m2td::tensor::TuckerDecomposition thread_reference;
   double base_seconds = 0.0;
   for (int workers : {1, 2, 4, 8}) {
-    // Size the shared pool to the row's worker count: MapReduce phase
+    // Size the shared pool to the row's worker count: D-M2TD map/reduce
     // tasks and the tensor kernels below them all draw from this pool,
     // so "#servers" maps onto real thread-level parallelism (bounded by
     // this machine's cores).

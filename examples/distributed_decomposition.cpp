@@ -1,5 +1,5 @@
-// Distributed decomposition demo: D-M2TD on the in-process MapReduce
-// engine.
+// Distributed decomposition demo: D-M2TD with its map and reduce tasks on
+// the shared thread pool.
 //
 // Shows the three-phase structure of Section VI-D — parallel sub-tensor
 // decomposition, parallel JE-stitching, parallel core recovery — with
@@ -49,16 +49,18 @@ int main(int argc, char** argv) {
                                          dist_options);
   M2TD_CHECK(dist.ok()) << dist.status();
 
-  m2td::io::TablePrinter phases({"Phase", "map (ms)", "shuffle (ms)",
-                                 "reduce (ms)", "intermediate pairs"});
+  m2td::io::TablePrinter phases({"Phase", "total (ms)", "map (ms)",
+                                 "reduce (ms)", "gather (ms)",
+                                 "intermediate pairs"});
   auto add_phase = [&phases](const std::string& name,
-                             const m2td::mapreduce::JobStats& stats) {
+                             const m2td::core::PhaseStats& stats) {
     phases.AddRow({name,
+                   m2td::io::TablePrinter::Cell(stats.seconds * 1e3, 1),
                    m2td::io::TablePrinter::Cell(stats.map_seconds * 1e3, 1),
                    m2td::io::TablePrinter::Cell(
-                       stats.shuffle_seconds * 1e3, 1),
-                   m2td::io::TablePrinter::Cell(
                        stats.reduce_seconds * 1e3, 1),
+                   m2td::io::TablePrinter::Cell(
+                       stats.gather_seconds * 1e3, 1),
                    std::to_string(stats.intermediate_pairs)});
   };
   add_phase("1: sub-tensor decomposition", dist->phase1);

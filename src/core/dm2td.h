@@ -9,7 +9,7 @@
 
 #include "core/m2td.h"
 #include "core/pf_partition.h"
-#include "mapreduce/engine.h"
+#include "robust/retry.h"
 #include "tensor/tucker.h"
 #include "util/result.h"
 
@@ -17,7 +17,8 @@ namespace m2td::core {
 
 /// Execution backend for the three D-M2TD MapReduce phases.
 enum class DistBackend {
-  /// In-process thread engine (mapreduce/engine.h): tasks are pool jobs.
+  /// In-process: each phase's map and reduce tasks are jobs on the shared
+  /// thread pool (parallel::GlobalPool()).
   kThread,
   /// Real worker processes (tools/m2td_worker) coordinated over pipes,
   /// shuffling through the durable io::ShuffleStore. Survives worker
@@ -119,8 +120,9 @@ struct DM2tdOptions {
   /// Table III. Thread backend: pool tasks; process backend: worker
   /// processes. Never affects results.
   int num_workers = 4;
-  /// Task-level retry policy applied to every MapReduce phase (see
-  /// mapreduce::JobSpec::retry). Defaults to no retries. The process
+  /// Task-level retry policy: a failed map or reduce task (failpoint,
+  /// exception, IOError / Internal) is re-run from scratch up to
+  /// `retry.max_retries` times. Defaults to no retries. The process
   /// backend additionally always replays tasks of dead workers —
   /// worker death is recovery, not a retry, and does not consume this
   /// budget.
@@ -165,17 +167,35 @@ struct DistStats {
   std::vector<std::string> worker_exit_details;
 };
 
-/// Per-phase wall-clock and MapReduce statistics.
+/// Timing and volume of one D-M2TD phase. Every time is the End() value
+/// of the identically named span of the same run (both backends), so the
+/// trace and these numbers come from one clock; phase-3 values sum over
+/// the N per-mode jobs.
+struct PhaseStats {
+  /// The phase span: "sub_decompose", "stitch", or "core_recovery".
+  double seconds = 0.0;
+  /// The phase's "dist_map" / "dist_reduce" / "dist_gather" spans (the
+  /// thread backend's phase 1 is a single "dist_reduce").
+  double map_seconds = 0.0;
+  double reduce_seconds = 0.0;
+  double gather_seconds = 0.0;
+  /// Records shuffled from the map to the reduce side.
+  std::uint64_t intermediate_pairs = 0;
+
+  double TotalSeconds() const { return seconds; }
+};
+
+/// Result of a D-M2TD run: the decomposition plus per-phase statistics.
 struct DM2tdResult {
   tensor::TuckerDecomposition tucker;
   std::uint64_t join_nnz = 0;
   /// Phase 1: parallel sub-tensor decomposition (Gram accumulation).
-  mapreduce::JobStats phase1;
+  PhaseStats phase1;
   /// Phase 2: parallel JE-stitching (shuffle on pivot configuration).
-  mapreduce::JobStats phase2;
-  /// Phase 3: parallel tensor-matrix chain recovering the core (summed
-  /// over the N per-mode jobs) — the dominant cost, per the paper.
-  mapreduce::JobStats phase3;
+  PhaseStats phase2;
+  /// Phase 3: parallel tensor-matrix chain recovering the core — the
+  /// dominant cost, per the paper.
+  PhaseStats phase3;
   DistStats dist;
 
   double TotalSeconds() const {
@@ -186,12 +206,14 @@ struct DM2tdResult {
 
 /// \brief D-M2TD (Section VI-D): the three-phase distributed M2TD.
 ///
-/// Phase 1 ships each sub-tensor's cells to a reducer that accumulates its
-/// per-mode Gram matrices; the driver turns Grams into (combined) factor
-/// matrices. Phase 2 shuffles cells of both sub-tensors by pivot
-/// configuration and joins within each reduce group. Phase 3 runs one
-/// MapReduce job per mode, each contracting the current tensor's fibers
-/// with that mode's factor matrix, ending at the dense core.
+/// Phase 1 computes each sub-tensor's per-mode Gram matrices and turns
+/// them into (combined) factor matrices through the shared M2tdFactors
+/// (the process backend ships cells to Gram reducers first; the thread
+/// backend reads the sub-tensors in place). Phase 2 groups the cells of
+/// both sub-tensors by pivot configuration and joins within each group.
+/// Phase 3 runs one map + reduce round per mode, each contracting the
+/// current tensor's fibers with that mode's factor matrix, ending at the
+/// dense core.
 ///
 /// Backends: `options.backend` selects in-process threads (default) or
 /// real worker processes (see DistBackend::kProcess). Results are

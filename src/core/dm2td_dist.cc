@@ -20,7 +20,6 @@
 #include <memory>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -1057,9 +1056,44 @@ void MergeWorkerObs(const std::string& job_dir, int workers) {
 
 // --------------------------------------------------------- the pipeline
 
+/// Runs the map stage `map`, then the reduce stage consuming it ("p1map"
+/// -> "p1red", "p3map_2" -> "p3red_2"), under the `dist_map` /
+/// `dist_reduce` spans; their times and the `records` shuffled
+/// accumulate into `stats`.
+Status RunMapReduce(Coordinator& coord, int shards, const TaskRequest& map,
+                    std::uint64_t records, PhaseStats* stats) {
+  TaskRequest reduce = map;
+  reduce.is_map = false;
+  reduce.phase.replace(2, 3, "red");
+  obs::ObsSpan map_span("dist_map", obs::ObsSpan::kAlwaysTime);
+  M2TD_RETURN_IF_ERROR(coord.RunStage({map.phase, shards, map, nullptr}));
+  stats->map_seconds += map_span.End();
+  obs::ObsSpan reduce_span("dist_reduce", obs::ObsSpan::kAlwaysTime);
+  M2TD_RETURN_IF_ERROR(coord.RunStage({reduce.phase, shards, reduce, &map}));
+  stats->reduce_seconds += reduce_span.End();
+  stats->intermediate_pairs += records;
+  return Status::OK();
+}
+
+/// The committed join cells of reduce stage `phase`, in canonical order.
+Result<std::vector<JoinCell>> GatherJoinCells(const io::ShuffleStore& store,
+                                              const std::string& phase,
+                                              int shards) {
+  M2TD_ASSIGN_OR_RETURN(std::vector<std::string> payloads,
+                        GatherReduceOutputs(store, phase, shards));
+  std::vector<JoinCell> cells;
+  for (const std::string& payload : payloads) {
+    M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> part,
+                          dm2td_tasks::DecodeJoinCells(payload));
+    cells.insert(cells.end(), std::make_move_iterator(part.begin()),
+                 std::make_move_iterator(part.end()));
+  }
+  dm2td_internal::SortJoinCells(&cells);
+  return cells;
+}
+
 Result<DM2tdResult> RunPipeline(Coordinator& coord,
                                 const io::ShuffleStore& store,
-                                const SubEnsembles& subs,
                                 const PfPartition& partition,
                                 const std::vector<std::uint64_t>& full_shape,
                                 const DM2tdOptions& options,
@@ -1077,79 +1111,48 @@ Result<DM2tdResult> RunPipeline(Coordinator& coord,
   // ---------- Phase 1: parallel sub-tensor decomposition. ----------
   obs::ObsSpan sub_span("sub_decompose", obs::ObsSpan::kAlwaysTime);
   TaskRequest p1map;
-  p1map.is_map = true;
   p1map.phase = "p1map";
-  TaskRequest p1red;
-  p1red.is_map = false;
-  p1red.phase = "p1red";
-  {
-    obs::ObsSpan map_span("dist_map", obs::ObsSpan::kAlwaysTime);
-    M2TD_RETURN_IF_ERROR(coord.RunStage({"p1map", shards, p1map, nullptr}));
-    result.phase1.map_seconds = map_span.End();
-  }
-  {
-    obs::ObsSpan reduce_span("dist_reduce", obs::ObsSpan::kAlwaysTime);
-    M2TD_RETURN_IF_ERROR(coord.RunStage({"p1red", shards, p1red, &p1map}));
-    result.phase1.reduce_seconds = reduce_span.End();
-  }
-  result.phase1.intermediate_pairs = all_cells.size();
-
+  M2TD_RETURN_IF_ERROR(
+      RunMapReduce(coord, shards, p1map, all_cells.size(), &result.phase1));
   obs::ObsSpan gather1_span("dist_gather", obs::ObsSpan::kAlwaysTime);
   M2TD_ASSIGN_OR_RETURN(std::vector<std::string> gram_payloads,
                         GatherReduceOutputs(store, "p1red", shards));
-  std::unordered_map<std::uint64_t, linalg::Matrix> grams;
+  std::map<std::pair<int, std::size_t>, linalg::Matrix> grams;
   for (const std::string& payload : gram_payloads) {
     M2TD_ASSIGN_OR_RETURN(std::vector<GramPiece> pieces,
                           dm2td_tasks::DecodeGramPieces(payload));
     for (GramPiece& piece : pieces) {
-      result.phase1.output_records++;
-      grams[static_cast<std::uint64_t>(piece.kappa) * 64 + piece.sub_mode] =
-          std::move(piece.gram);
+      grams[{piece.kappa, piece.sub_mode}] = std::move(piece.gram);
     }
   }
-  M2TD_ASSIGN_OR_RETURN(std::vector<linalg::Matrix> factors,
-                        dm2td_internal::AssembleFactors(grams, partition,
-                                                        full_shape, options));
-  result.phase1.shuffle_seconds = gather1_span.End();
-  sub_span.End();
+  M2TD_ASSIGN_OR_RETURN(
+      std::vector<linalg::Matrix> factors,
+      M2tdFactors(options.method, options.ranks, {}, partition, full_shape,
+                  [&grams](int side,
+                           std::size_t sub_mode) -> Result<linalg::Matrix> {
+                    const auto it = grams.find({side, sub_mode});
+                    if (it == grams.end()) {
+                      return Status::Internal(
+                          "missing Gram piece from phase 1");
+                    }
+                    return it->second;
+                  }));
+  result.phase1.gather_seconds = gather1_span.End();
+  result.phase1.seconds = sub_span.End();
 
   // ---------- Phase 2: parallel JE-stitching. ----------
   obs::ObsSpan stitch_span("stitch", obs::ObsSpan::kAlwaysTime);
   TaskRequest p2map;
-  p2map.is_map = true;
   p2map.phase = "p2map";
-  TaskRequest p2red;
-  p2red.is_map = false;
-  p2red.phase = "p2red";
-  {
-    obs::ObsSpan map_span("dist_map", obs::ObsSpan::kAlwaysTime);
-    M2TD_RETURN_IF_ERROR(coord.RunStage({"p2map", shards, p2map, nullptr}));
-    result.phase2.map_seconds = map_span.End();
-  }
-  {
-    obs::ObsSpan reduce_span("dist_reduce", obs::ObsSpan::kAlwaysTime);
-    M2TD_RETURN_IF_ERROR(coord.RunStage({"p2red", shards, p2red, &p2map}));
-    result.phase2.reduce_seconds = reduce_span.End();
-  }
-  result.phase2.intermediate_pairs = all_cells.size();
-
+  M2TD_RETURN_IF_ERROR(
+      RunMapReduce(coord, shards, p2map, all_cells.size(), &result.phase2));
   obs::ObsSpan gather2_span("dist_gather", obs::ObsSpan::kAlwaysTime);
-  M2TD_ASSIGN_OR_RETURN(std::vector<std::string> join_payloads,
-                        GatherReduceOutputs(store, "p2red", shards));
-  std::vector<JoinCell> join_cells;
-  for (const std::string& payload : join_payloads) {
-    M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> part,
-                          dm2td_tasks::DecodeJoinCells(payload));
-    join_cells.insert(join_cells.end(),
-                      std::make_move_iterator(part.begin()),
-                      std::make_move_iterator(part.end()));
-  }
-  dm2td_internal::SortJoinCells(&join_cells);
-  result.phase2.output_records = join_cells.size();
-  result.phase2.shuffle_seconds = gather2_span.End();
+  M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> join_cells,
+                        GatherJoinCells(store, "p2red", shards));
+  result.phase2.gather_seconds = gather2_span.End();
   result.join_nnz = join_cells.size();
   stitch_span.Annotate("join_nnz", result.join_nnz);
-  stitch_span.End();
+  result.phase2.seconds = stitch_span.End();
 
   // ---------- Phase 3: one map+reduce stage pair per mode. ----------
   obs::ObsSpan core_span("core_recovery", obs::ObsSpan::kAlwaysTime);
@@ -1166,41 +1169,15 @@ Result<DM2tdResult> RunPipeline(Coordinator& coord,
                                          static_cast<int>(n), shards));
     const std::string suffix = "_" + std::to_string(n);
     TaskRequest p3map;
-    p3map.is_map = true;
     p3map.phase = "p3map" + suffix;
     p3map.mode = static_cast<int>(n);
     p3map.shape = current_shape;
-    TaskRequest p3red = p3map;
-    p3red.is_map = false;
-    p3red.phase = "p3red" + suffix;
-    {
-      obs::ObsSpan map_span("dist_map", obs::ObsSpan::kAlwaysTime);
-      M2TD_RETURN_IF_ERROR(
-          coord.RunStage({p3map.phase, shards, p3map, nullptr}));
-      result.phase3.map_seconds += map_span.End();
-    }
-    {
-      obs::ObsSpan reduce_span("dist_reduce", obs::ObsSpan::kAlwaysTime);
-      M2TD_RETURN_IF_ERROR(
-          coord.RunStage({p3red.phase, shards, p3red, &p3map}));
-      result.phase3.reduce_seconds += reduce_span.End();
-    }
-    result.phase3.intermediate_pairs += join_cells.size();
-
+    M2TD_RETURN_IF_ERROR(RunMapReduce(coord, shards, p3map, join_cells.size(),
+                                      &result.phase3));
     obs::ObsSpan gather3_span("dist_gather", obs::ObsSpan::kAlwaysTime);
-    M2TD_ASSIGN_OR_RETURN(std::vector<std::string> payloads,
-                          GatherReduceOutputs(store, p3red.phase, shards));
-    join_cells.clear();
-    for (const std::string& payload : payloads) {
-      M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> part,
-                            dm2td_tasks::DecodeJoinCells(payload));
-      join_cells.insert(join_cells.end(),
-                        std::make_move_iterator(part.begin()),
-                        std::make_move_iterator(part.end()));
-    }
-    dm2td_internal::SortJoinCells(&join_cells);
-    result.phase3.shuffle_seconds += gather3_span.End();
-    result.phase3.output_records = join_cells.size();
+    M2TD_ASSIGN_OR_RETURN(join_cells,
+                          GatherJoinCells(store, "p3red" + suffix, shards));
+    result.phase3.gather_seconds += gather3_span.End();
     current_shape[n] = factors[n].cols();
   }
 
@@ -1208,9 +1185,9 @@ Result<DM2tdResult> RunPipeline(Coordinator& coord,
   for (const JoinCell& cell : join_cells) {
     core.at(cell.idx) += cell.value;
   }
+  result.phase3.seconds = core_span.End();
   result.tucker.core = std::move(core);
   result.tucker.factors = std::move(factors);
-  (void)subs;
   return result;
 }
 
@@ -1275,15 +1252,7 @@ Result<DM2tdResult> DM2tdDecomposeProcess(
   M2TD_RETURN_IF_ERROR(
       dm2td_tasks::SaveJobConfig(job_dir + "/job.m2td", config));
 
-  std::vector<TensorCell> all_cells =
-      dm2td_internal::CollectCells(subs.x1, 1);
-  {
-    std::vector<TensorCell> cells2 =
-        dm2td_internal::CollectCells(subs.x2, 2);
-    all_cells.insert(all_cells.end(),
-                     std::make_move_iterator(cells2.begin()),
-                     std::make_move_iterator(cells2.end()));
-  }
+  const std::vector<TensorCell> all_cells = dm2td_internal::CollectCells(subs);
   M2TD_RETURN_IF_ERROR(WriteCellSplits(store, all_cells, options.num_shards));
   if (options.stitch.zero_join) {
     std::vector<std::uint64_t> cand1, cand2;
@@ -1309,8 +1278,8 @@ Result<DM2tdResult> DM2tdDecomposeProcess(
   Result<DM2tdResult> outcome = [&]() -> Result<DM2tdResult> {
     Coordinator coord(options, store, job_dir, worker_binary);
     M2TD_RETURN_IF_ERROR(coord.SpawnWorkers());
-    Result<DM2tdResult> result = RunPipeline(
-        coord, store, subs, partition, full_shape, options, all_cells);
+    Result<DM2tdResult> result = RunPipeline(coord, store, partition,
+                                             full_shape, options, all_cells);
     coord.Drain();
     if (result.ok()) result->dist = coord.stats();
     return result;

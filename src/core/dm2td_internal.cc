@@ -1,12 +1,63 @@
 #include "core/dm2td_internal.h"
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
-#include "linalg/svd.h"
 #include "tensor/matricize.h"
 
 namespace m2td::core::dm2td_internal {
+
+std::vector<std::size_t> StableKeyOrder(
+    const std::vector<std::uint64_t>& keys) {
+  const std::size_t n = keys.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::uint64_t max_key = 0;
+  for (std::uint64_t key : keys) max_key = std::max(max_key, key);
+  std::vector<std::size_t> scratch(n);
+  std::vector<std::size_t> count(std::size_t{1} << 16);
+  for (int shift = 0; shift < 64 && (max_key >> shift) != 0; shift += 16) {
+    std::fill(count.begin(), count.end(), 0);
+    for (std::size_t i : order) ++count[(keys[i] >> shift) & 0xFFFF];
+    std::size_t next = 0;
+    for (std::size_t& c : count) next += std::exchange(c, next);
+    for (std::size_t i : order) {
+      scratch[count[(keys[i] >> shift) & 0xFFFF]++] = i;
+    }
+    order.swap(scratch);
+  }
+  return order;
+}
+
+void SortJoinCells(std::vector<JoinCell>* cells) {
+  if (cells->empty()) return;
+  // Lexicographic order of the index vectors is numeric order of their
+  // row-major rank under the observed per-mode extents. The extents never
+  // exceed the full shape, whose rank ValidateDm2tdArgs bounds to 64 bits.
+  const std::size_t modes = cells->front().idx.size();
+  std::vector<std::uint64_t> extent(modes, 1);
+  for (const JoinCell& cell : *cells) {
+    for (std::size_t m = 0; m < modes; ++m) {
+      extent[m] = std::max<std::uint64_t>(extent[m], cell.idx[m] + 1ULL);
+    }
+  }
+  std::vector<std::uint64_t> keys(cells->size());
+  for (std::size_t i = 0; i < cells->size(); ++i) {
+    for (std::size_t m = 0; m < modes; ++m) {
+      keys[i] = keys[i] * extent[m] + (*cells)[i].idx[m];
+    }
+  }
+  std::vector<JoinCell> sorted;
+  sorted.reserve(cells->size());
+  for (std::size_t i : StableKeyOrder(keys)) {
+    sorted.push_back(std::move((*cells)[i]));
+  }
+  cells->swap(sorted);
+}
 
 Status BuildGramsForSub(int kappa, const std::vector<std::uint64_t>& shape,
                         const std::vector<TensorCell>& cells,
@@ -25,7 +76,7 @@ Status BuildGramsForSub(int kappa, const std::vector<std::uint64_t>& shape,
 }
 
 void JoinPivotGroup(std::uint64_t pivot_key,
-                    const std::vector<TensorCell>& cells,
+                    std::span<const TensorCell> cells,
                     const JobGeometry& geometry, bool zero_join,
                     const std::vector<std::uint64_t>& cand1,
                     const std::vector<std::uint64_t>& cand2,
@@ -66,11 +117,10 @@ void JoinPivotGroup(std::uint64_t pivot_key,
 }
 
 void ContractFiber(std::uint64_t key,
-                   const std::vector<std::pair<std::uint32_t, double>>& fiber,
+                   std::span<const std::pair<std::uint32_t, double>> fiber,
                    const linalg::Matrix& factor, std::size_t n,
-                   const std::vector<std::uint64_t>& other_dims,
-                   const std::vector<std::size_t>& other_modes,
-                   std::size_t num_modes, std::vector<JoinCell>* out) {
+                   const std::vector<std::uint64_t>& current_shape,
+                   std::vector<JoinCell>* out) {
   const std::size_t rank = factor.cols();
   std::vector<double> acc(rank, 0.0);
   for (const auto& [i_n, v] : fiber) {
@@ -78,69 +128,18 @@ void ContractFiber(std::uint64_t key,
       acc[j] += factor(i_n, j) * v;
     }
   }
-  std::vector<std::uint32_t> indices(num_modes);
-  ScatterKey(key, other_dims, other_modes, &indices);
+  // Inverse of Phase3FiberKey: the row-major rank over all modes but n.
+  std::vector<std::uint32_t> indices(current_shape.size());
+  for (std::size_t m = current_shape.size(); m-- > 0;) {
+    if (m == n) continue;
+    indices[m] = static_cast<std::uint32_t>(key % current_shape[m]);
+    key /= current_shape[m];
+  }
   for (std::size_t j = 0; j < rank; ++j) {
     if (acc[j] == 0.0) continue;
     indices[n] = static_cast<std::uint32_t>(j);
     out->push_back(JoinCell{indices, acc[j]});
   }
-}
-
-Result<std::vector<linalg::Matrix>> AssembleFactors(
-    std::unordered_map<std::uint64_t, linalg::Matrix>& grams,
-    const PfPartition& partition,
-    const std::vector<std::uint64_t>& full_shape,
-    const DM2tdOptions& options) {
-  const std::size_t num_modes = full_shape.size();
-  const std::size_t k = partition.pivot_modes.size();
-  auto gram_of = [&grams](int kappa,
-                          std::size_t sub_mode) -> Result<linalg::Matrix*> {
-    auto it = grams.find(static_cast<std::uint64_t>(kappa) * 64 + sub_mode);
-    if (it == grams.end()) {
-      return Status::Internal("missing Gram piece from phase 1");
-    }
-    return &it->second;
-  };
-
-  std::vector<linalg::Matrix> factors(num_modes);
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t mode = partition.pivot_modes[i];
-    const std::size_t rank = static_cast<std::size_t>(
-        std::min<std::uint64_t>(options.ranks[mode], full_shape[mode]));
-    M2TD_ASSIGN_OR_RETURN(linalg::Matrix * g1, gram_of(1, i));
-    M2TD_ASSIGN_OR_RETURN(linalg::Matrix * g2, gram_of(2, i));
-    if (options.method == M2tdMethod::kConcat) {
-      const linalg::Matrix sum = linalg::LinearCombination(1.0, *g1, 1.0, *g2);
-      M2TD_ASSIGN_OR_RETURN(factors[mode],
-                            linalg::LeftSingularVectorsFromGram(sum, rank));
-    } else {
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix u1,
-                            linalg::LeftSingularVectorsFromGram(*g1, rank));
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix u2,
-                            linalg::LeftSingularVectorsFromGram(*g2, rank));
-      if (options.method == M2tdMethod::kAvg) {
-        factors[mode] = linalg::LinearCombination(0.5, u1, 0.5, u2);
-      } else if (options.method == M2tdMethod::kWeighted) {
-        M2TD_ASSIGN_OR_RETURN(factors[mode], RowWeightedBlend(u1, u2));
-      } else {
-        M2TD_ASSIGN_OR_RETURN(factors[mode], RowSelect(u1, u2));
-      }
-    }
-  }
-  for (int side = 1; side <= 2; ++side) {
-    const std::vector<std::size_t>& side_modes =
-        (side == 1) ? partition.side1_modes : partition.side2_modes;
-    for (std::size_t i = 0; i < side_modes.size(); ++i) {
-      const std::size_t mode = side_modes[i];
-      const std::size_t rank = static_cast<std::size_t>(
-          std::min<std::uint64_t>(options.ranks[mode], full_shape[mode]));
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix * gram, gram_of(side, k + i));
-      M2TD_ASSIGN_OR_RETURN(factors[mode],
-                            linalg::LeftSingularVectorsFromGram(*gram, rank));
-    }
-  }
-  return factors;
 }
 
 Status ValidateDm2tdArgs(const SubEnsembles& subs,
@@ -153,6 +152,15 @@ Status ValidateDm2tdArgs(const SubEnsembles& subs,
   }
   if (options.ranks.size() != num_modes) {
     return Status::InvalidArgument("one rank per original mode required");
+  }
+  // Every shuffle key is a row-major rank over some of these modes.
+  std::uint64_t cells = 1;
+  for (std::uint64_t d : full_shape) {
+    if (d == 0 || cells > std::numeric_limits<std::uint64_t>::max() / d) {
+      return Status::InvalidArgument(
+          "full shape has no 64-bit row-major rank");
+    }
+    cells *= d;
   }
   if (!subs.x1.IsSorted() || !subs.x2.IsSorted()) {
     return Status::InvalidArgument("DM2TD requires coalesced sub-tensors");

@@ -2,15 +2,15 @@
 #define M2TD_CORE_DM2TD_INTERNAL_H_
 
 // Shared building blocks of the two D-M2TD execution backends. The
-// in-process thread engine (dm2td.cc) and the multi-process task bodies
+// in-process pool tasks (dm2td.cc) and the multi-process task bodies
 // (dm2td_tasks.cc) both compute through these functions, so the backends
 // agree bit for bit: identical per-group arithmetic plus the canonical
 // inter-phase ordering defined by SortJoinCells is what makes results
 // independent of worker count, shard count, and kill schedule.
 
-#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/dm2td.h"
@@ -103,32 +103,36 @@ inline void ScatterKey(std::uint64_t key,
   }
 }
 
-inline std::vector<TensorCell> CollectCells(const tensor::SparseTensor& sub,
-                                            int kappa) {
+/// Every stored cell of both sub-tensors: x1's (kappa 1), then x2's
+/// (kappa 2), each in storage order — the global input order of phases 1
+/// and 2 on both backends.
+inline std::vector<TensorCell> CollectCells(const SubEnsembles& subs) {
   std::vector<TensorCell> cells;
-  cells.reserve(sub.NumNonZeros());
-  const std::size_t modes = sub.num_modes();
-  for (std::uint64_t e = 0; e < sub.NumNonZeros(); ++e) {
-    TensorCell cell;
-    cell.kappa = kappa;
-    cell.idx.resize(modes);
-    for (std::size_t m = 0; m < modes; ++m) cell.idx[m] = sub.Index(m, e);
-    cell.value = sub.Value(e);
-    cells.push_back(std::move(cell));
+  cells.reserve(subs.x1.NumNonZeros() + subs.x2.NumNonZeros());
+  for (int kappa = 1; kappa <= 2; ++kappa) {
+    const tensor::SparseTensor& sub = kappa == 1 ? subs.x1 : subs.x2;
+    for (std::uint64_t e = 0; e < sub.NumNonZeros(); ++e) {
+      TensorCell cell{kappa, std::vector<std::uint32_t>(sub.num_modes()),
+                      sub.Value(e)};
+      for (std::size_t m = 0; m < sub.num_modes(); ++m) {
+        cell.idx[m] = sub.Index(m, e);
+      }
+      cells.push_back(std::move(cell));
+    }
   }
   return cells;
 }
 
+/// Stable ascending order of `keys`, as record indices: an LSD radix
+/// sort over 16-bit digits, one pass per digit the largest key needs.
+std::vector<std::size_t> StableKeyOrder(const std::vector<std::uint64_t>& keys);
+
 /// Canonical inter-phase ordering: lexicographic on the index vector.
 /// Phase-2 and phase-3 outputs have globally unique index vectors, so
 /// this is a total order independent of which worker/shard produced a
-/// cell — the keystone of backend/worker-count bit-identity.
-inline void SortJoinCells(std::vector<JoinCell>* cells) {
-  std::sort(cells->begin(), cells->end(),
-            [](const JoinCell& a, const JoinCell& b) {
-              return a.idx < b.idx;
-            });
-}
+/// cell — the keystone of backend/worker-count bit-identity. Sorted by
+/// StableKeyOrder on each cell's row-major rank.
+void SortJoinCells(std::vector<JoinCell>* cells);
 
 /// Phase-1 reducer body: builds one sub-tensor from its cells and emits
 /// the per-mode Gram pieces. Input cells must have unique indices (they
@@ -142,7 +146,7 @@ Status BuildGramsForSub(int kappa, const std::vector<std::uint64_t>& shape,
 /// global input order (both backends guarantee this) so the join output
 /// sequence is reproducible. Appends to `out`.
 void JoinPivotGroup(std::uint64_t pivot_key,
-                    const std::vector<TensorCell>& cells,
+                    std::span<const TensorCell> cells,
                     const JobGeometry& geometry, bool zero_join,
                     const std::vector<std::uint64_t>& cand1,
                     const std::vector<std::uint64_t>& cand2,
@@ -162,22 +166,14 @@ inline std::uint64_t Phase3FiberKey(
 }
 
 /// Phase-3 reducer body: contracts one fiber (all (i_n, v) pairs sharing
-/// `key`) with `factor`, appending the non-zero results. `fiber` must
-/// arrive in global input order.
+/// the Phase3FiberKey `key` under `current_shape`) with `factor`,
+/// appending the non-zero results. `fiber` must arrive in global input
+/// order.
 void ContractFiber(std::uint64_t key,
-                   const std::vector<std::pair<std::uint32_t, double>>& fiber,
+                   std::span<const std::pair<std::uint32_t, double>> fiber,
                    const linalg::Matrix& factor, std::size_t n,
-                   const std::vector<std::uint64_t>& other_dims,
-                   const std::vector<std::size_t>& other_modes,
-                   std::size_t num_modes, std::vector<JoinCell>* out);
-
-/// Driver-side factor assembly from the phase-1 Gram pieces (keyed
-/// kappa * 64 + sub_mode). Shared by both backends so factors are
-/// computed by literally the same code path.
-Result<std::vector<linalg::Matrix>> AssembleFactors(
-    std::unordered_map<std::uint64_t, linalg::Matrix>& grams,
-    const PfPartition& partition,
-    const std::vector<std::uint64_t>& full_shape, const DM2tdOptions& options);
+                   const std::vector<std::uint64_t>& current_shape,
+                   std::vector<JoinCell>* out);
 
 /// Argument validation shared by both backends.
 Status ValidateDm2tdArgs(const SubEnsembles& subs,

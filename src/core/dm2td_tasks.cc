@@ -259,14 +259,6 @@ Status RunReduceTask(const io::ShuffleStore& store,
         std::string factor_bytes,
         store.ReadBlob(FactorName(task.mode), "input"));
     M2TD_ASSIGN_OR_RETURN(linalg::Matrix factor, DecodeMatrix(factor_bytes));
-    std::vector<std::uint64_t> other_dims;
-    std::vector<std::size_t> other_modes;
-    for (std::size_t m = 0; m < task.shape.size(); ++m) {
-      if (m != n) {
-        other_dims.push_back(task.shape[m]);
-        other_modes.push_back(m);
-      }
-    }
     std::map<std::uint64_t, std::vector<std::pair<std::uint32_t, double>>>
         groups;
     for (const std::string& bytes : payloads) {
@@ -278,8 +270,7 @@ Status RunReduceTask(const io::ShuffleStore& store,
     }
     std::vector<JoinCell> out;
     for (const auto& [key, fiber] : groups) {
-      dm2td_internal::ContractFiber(key, fiber, factor, n, other_dims,
-                                    other_modes, task.shape.size(), &out);
+      dm2td_internal::ContractFiber(key, fiber, factor, n, task.shape, &out);
     }
     out_bytes = EncodeJoinCells(out);
   }

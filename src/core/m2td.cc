@@ -62,33 +62,73 @@ Result<linalg::Matrix> RowWeightedBlend(const linalg::Matrix& u1,
   return out;
 }
 
-namespace {
+Result<std::vector<linalg::Matrix>> M2tdFactors(
+    M2tdMethod method, const std::vector<std::uint64_t>& ranks,
+    const linalg::GramFactorOptions& init, const PfPartition& partition,
+    const std::vector<std::uint64_t>& full_shape, const SubGramFn& gram_of) {
+  const std::size_t num_modes = full_shape.size();
+  if (partition.NumModes() != num_modes) {
+    return Status::InvalidArgument("partition does not match full shape");
+  }
+  if (ranks.size() != num_modes) {
+    return Status::InvalidArgument("one rank per original mode required");
+  }
+  const std::size_t k = partition.pivot_modes.size();
+  auto rank_of = [&](std::size_t mode) {
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(ranks[mode], full_shape[mode]));
+  };
+  // Factor of sub-tensor `side` along its own mode `sub_mode` (original
+  // mode `mode`); side 2's sketches are offset past every original mode.
+  auto sub_factor = [&](int side, std::size_t sub_mode,
+                        std::size_t mode) -> Result<linalg::Matrix> {
+    M2TD_ASSIGN_OR_RETURN(linalg::Matrix gram, gram_of(side, sub_mode));
+    return linalg::GramFactor(
+        gram, rank_of(mode),
+        init.ForMode(side == 1 ? mode : mode + num_modes));
+  };
 
-/// Factor matrix of sub-tensor `sub` along its own mode `m`, at rank
-/// clamped to the mode length, solved under the configured init policy
-/// (deterministic Gram + Jacobi or sketched range finder).
-Result<linalg::Matrix> SubFactor(const tensor::SparseTensor& sub,
-                                 std::size_t m, std::uint64_t rank,
-                                 const linalg::GramFactorOptions& init) {
-  M2TD_ASSIGN_OR_RETURN(linalg::Matrix gram, tensor::ModeGram(sub, m));
-  const std::size_t k =
-      static_cast<std::size_t>(std::min<std::uint64_t>(rank, sub.dim(m)));
-  return linalg::GramFactor(gram, k, init);
+  std::vector<linalg::Matrix> factors(num_modes);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t mode = partition.pivot_modes[i];
+    M2TD_TRACE_SCOPE("combine_pivot_factor");
+    if (method == M2tdMethod::kConcat) {
+      // Gram of the concatenated matricization [X1_(n) | X2_(n)].
+      M2TD_ASSIGN_OR_RETURN(linalg::Matrix g1, gram_of(1, i));
+      M2TD_ASSIGN_OR_RETURN(linalg::Matrix g2, gram_of(2, i));
+      const linalg::Matrix sum = linalg::LinearCombination(1.0, g1, 1.0, g2);
+      M2TD_ASSIGN_OR_RETURN(
+          factors[mode],
+          linalg::GramFactor(sum, rank_of(mode), init.ForMode(mode)));
+      continue;
+    }
+    M2TD_ASSIGN_OR_RETURN(linalg::Matrix u1, sub_factor(1, i, mode));
+    M2TD_ASSIGN_OR_RETURN(linalg::Matrix u2, sub_factor(2, i, mode));
+    if (method == M2tdMethod::kAvg) {
+      factors[mode] = linalg::LinearCombination(0.5, u1, 0.5, u2);
+    } else if (method == M2tdMethod::kWeighted) {
+      M2TD_ASSIGN_OR_RETURN(factors[mode], RowWeightedBlend(u1, u2));
+    } else {
+      M2TD_ASSIGN_OR_RETURN(factors[mode], RowSelect(u1, u2));
+    }
+  }
+  for (int side = 1; side <= 2; ++side) {
+    const std::vector<std::size_t>& side_modes =
+        side == 1 ? partition.side1_modes : partition.side2_modes;
+    for (std::size_t i = 0; i < side_modes.size(); ++i) {
+      M2TD_ASSIGN_OR_RETURN(factors[side_modes[i]],
+                            sub_factor(side, k + i, side_modes[i]));
+    }
+  }
+  return factors;
 }
+
+namespace {
 
 Result<M2tdResult> M2tdDecomposeImpl(
     const SubEnsembles& subs, const PfPartition& partition,
     const std::vector<std::uint64_t>& full_shape,
     const M2tdOptions& options) {
-  const std::size_t num_modes = full_shape.size();
-  if (partition.NumModes() != num_modes) {
-    return Status::InvalidArgument("partition does not match full shape");
-  }
-  if (options.ranks.size() != num_modes) {
-    return Status::InvalidArgument("one rank per original mode required");
-  }
-  const std::size_t k = partition.pivot_modes.size();
-
   M2tdResult result;
   obs::ObsSpan total_span("m2td_decompose", obs::ObsSpan::kAlwaysTime);
   total_span.Annotate("method", M2tdMethodName(options.method));
@@ -99,54 +139,13 @@ Result<M2tdResult> M2tdDecomposeImpl(
   // timings in M2tdTimings are the spans' own elapsed times, so the trace
   // and the Table III split always agree. ---
   obs::ObsSpan sub_span("sub_decompose", obs::ObsSpan::kAlwaysTime);
-  std::vector<linalg::Matrix> factors(num_modes);
-
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t mode = partition.pivot_modes[i];
-    const std::uint64_t rank = options.ranks[mode];
-    M2TD_TRACE_SCOPE("combine_pivot_factor");
-    linalg::Matrix combined;
-    if (options.method == M2tdMethod::kConcat) {
-      // Gram of the concatenated matricization [X1_(n) | X2_(n)].
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix g1, tensor::ModeGram(subs.x1, i));
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix g2, tensor::ModeGram(subs.x2, i));
-      const linalg::Matrix sum = linalg::LinearCombination(1.0, g1, 1.0, g2);
-      const std::size_t rk = static_cast<std::size_t>(
-          std::min<std::uint64_t>(rank, full_shape[mode]));
-      M2TD_ASSIGN_OR_RETURN(
-          combined, linalg::GramFactor(sum, rk, options.init.ForMode(mode)));
-    } else {
-      // The two sub-tensors draw decorrelated sketches: offset x2's stream
-      // past every original mode index so no (sub, mode) pair shares a seed.
-      M2TD_ASSIGN_OR_RETURN(
-          linalg::Matrix u1,
-          SubFactor(subs.x1, i, rank, options.init.ForMode(mode)));
-      M2TD_ASSIGN_OR_RETURN(
-          linalg::Matrix u2,
-          SubFactor(subs.x2, i, rank,
-                    options.init.ForMode(mode + num_modes)));
-      if (options.method == M2tdMethod::kAvg) {
-        combined = linalg::LinearCombination(0.5, u1, 0.5, u2);
-      } else if (options.method == M2tdMethod::kWeighted) {
-        M2TD_ASSIGN_OR_RETURN(combined, RowWeightedBlend(u1, u2));
-      } else {
-        M2TD_ASSIGN_OR_RETURN(combined, RowSelect(u1, u2));
-      }
-    }
-    factors[mode] = std::move(combined);
-  }
-  for (std::size_t i = 0; i < partition.side1_modes.size(); ++i) {
-    const std::size_t mode = partition.side1_modes[i];
-    M2TD_ASSIGN_OR_RETURN(
-        factors[mode], SubFactor(subs.x1, k + i, options.ranks[mode],
-                                 options.init.ForMode(mode)));
-  }
-  for (std::size_t i = 0; i < partition.side2_modes.size(); ++i) {
-    const std::size_t mode = partition.side2_modes[i];
-    M2TD_ASSIGN_OR_RETURN(
-        factors[mode], SubFactor(subs.x2, k + i, options.ranks[mode],
-                                 options.init.ForMode(mode + num_modes)));
-  }
+  M2TD_ASSIGN_OR_RETURN(
+      std::vector<linalg::Matrix> factors,
+      M2tdFactors(options.method, options.ranks, options.init, partition,
+                  full_shape, [&subs](int side, std::size_t sub_mode) {
+                    return tensor::ModeGram(side == 1 ? subs.x1 : subs.x2,
+                                            sub_mode);
+                  }));
   result.timings.sub_decompose_seconds = sub_span.End();
 
   // --- JE-stitching. ---

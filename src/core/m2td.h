@@ -2,6 +2,7 @@
 #define M2TD_CORE_M2TD_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/je_stitch.h"
@@ -85,6 +86,27 @@ Result<linalg::Matrix> RowSelect(const linalg::Matrix& u1,
 /// zero total energy come out zero. Inputs must have identical shape.
 Result<linalg::Matrix> RowWeightedBlend(const linalg::Matrix& u1,
                                         const linalg::Matrix& u2);
+
+/// Gram matrix X_(m) X_(m)^T of sub-tensor `side` (1 or 2) along its own
+/// mode `sub_mode` (sub-tensor mode order: pivots first, then that side's
+/// free modes).
+using SubGramFn =
+    std::function<Result<linalg::Matrix>(int side, std::size_t sub_mode)>;
+
+/// \brief The factor phase of M2TD (Algorithms 2-5): one factor matrix per
+/// original mode, in original mode order.
+///
+/// Pivot modes combine the two sub-tensor factors per `method` (CONCAT
+/// solves the summed Gram once); side modes take the owning sub-tensor's
+/// factor. Ranks are clamped to the mode lengths. Every solve runs
+/// linalg::GramFactor under `init.ForMode(mode)` for side 1 and
+/// `init.ForMode(mode + N)` for side 2, so no (side, mode) pair shares a
+/// sketch seed. `gram_of` is the only data access, which is what lets the
+/// in-memory, out-of-core, and distributed pipelines share this function.
+Result<std::vector<linalg::Matrix>> M2tdFactors(
+    M2tdMethod method, const std::vector<std::uint64_t>& ranks,
+    const linalg::GramFactorOptions& init, const PfPartition& partition,
+    const std::vector<std::uint64_t>& full_shape, const SubGramFn& gram_of);
 
 /// \brief Multi-Task Tensor Decomposition: the Tucker decomposition of the
 /// join tensor obtained from the two sub-ensemble decompositions

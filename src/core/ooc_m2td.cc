@@ -7,7 +7,6 @@
 #include "core/je_stitch.h"
 #include "io/out_of_core.h"
 #include "io/tensor_io.h"
-#include "linalg/svd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "robust/cancel.h"
@@ -33,6 +32,12 @@ std::string OocFingerprint(const PfPartition& partition,
   for (std::uint64_t r : options.ranks) fp << "_" << r;
   fp << "-p";
   for (std::size_t m : partition.pivot_modes) fp << "_" << m;
+  // A sketched factor phase is a different run; never resume across it.
+  if (options.init.method == linalg::GramFactorMethod::kRandomized) {
+    const linalg::RandomizedSvdOptions& k = options.init.sketch;
+    fp << "-rand_" << k.seed << "_" << k.oversampling << "_"
+       << k.power_iterations;
+  }
   return fp.str();
 }
 
@@ -87,55 +92,14 @@ Result<M2tdResult> M2tdDecomposeFromStoresImpl(
   obs::ObsSpan sub_span("sub_decompose", obs::ObsSpan::kAlwaysTime);
 
   // --- Factor matrices from streamed Grams. ---
-  std::vector<linalg::Matrix> factors(num_modes);
-  auto factor_from_store = [&](const io::ChunkStore& store,
-                               std::size_t sub_mode,
-                               std::size_t original_mode)
-      -> Result<linalg::Matrix> {
-    M2TD_ASSIGN_OR_RETURN(linalg::Matrix gram,
-                          io::ModeGramFromStore(store, sub_mode));
-    const std::size_t rank = static_cast<std::size_t>(
-        std::min<std::uint64_t>(options.ranks[original_mode],
-                                full_shape[original_mode]));
-    return linalg::LeftSingularVectorsFromGram(gram, rank);
-  };
-
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t mode = partition.pivot_modes[i];
-    if (options.method == M2tdMethod::kConcat) {
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix g1,
-                            io::ModeGramFromStore(store1, i));
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix g2,
-                            io::ModeGramFromStore(store2, i));
-      const linalg::Matrix sum = linalg::LinearCombination(1.0, g1, 1.0, g2);
-      const std::size_t rank = static_cast<std::size_t>(
-          std::min<std::uint64_t>(options.ranks[mode], full_shape[mode]));
-      M2TD_ASSIGN_OR_RETURN(factors[mode],
-                            linalg::LeftSingularVectorsFromGram(sum, rank));
-    } else {
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix u1,
-                            factor_from_store(store1, i, mode));
-      M2TD_ASSIGN_OR_RETURN(linalg::Matrix u2,
-                            factor_from_store(store2, i, mode));
-      if (options.method == M2tdMethod::kAvg) {
-        factors[mode] = linalg::LinearCombination(0.5, u1, 0.5, u2);
-      } else if (options.method == M2tdMethod::kWeighted) {
-        M2TD_ASSIGN_OR_RETURN(factors[mode], RowWeightedBlend(u1, u2));
-      } else {
-        M2TD_ASSIGN_OR_RETURN(factors[mode], RowSelect(u1, u2));
-      }
-    }
-  }
-  for (std::size_t i = 0; i < partition.side1_modes.size(); ++i) {
-    const std::size_t mode = partition.side1_modes[i];
-    M2TD_ASSIGN_OR_RETURN(factors[mode],
-                          factor_from_store(store1, k + i, mode));
-  }
-  for (std::size_t i = 0; i < partition.side2_modes.size(); ++i) {
-    const std::size_t mode = partition.side2_modes[i];
-    M2TD_ASSIGN_OR_RETURN(factors[mode],
-                          factor_from_store(store2, k + i, mode));
-  }
+  M2TD_ASSIGN_OR_RETURN(
+      std::vector<linalg::Matrix> factors,
+      M2tdFactors(options.method, options.ranks, options.init, partition,
+                  full_shape,
+                  [&store1, &store2](int side, std::size_t sub_mode) {
+                    return io::ModeGramFromStore(side == 1 ? store1 : store2,
+                                                 sub_mode);
+                  }));
   result.timings.sub_decompose_seconds = sub_span.End();
 
   // --- Core accumulated pivot-slab by pivot-slab. ---

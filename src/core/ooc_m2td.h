@@ -37,8 +37,9 @@ struct OocCheckpointOptions {
 ///
 /// Memory profile:
 ///  - Factor matrices come from per-mode Grams streamed chunk-by-chunk
-///    (io::ModeGramFromStore); peak memory is one chunk slab plus an
-///    I_n x I_n Gram.
+///    (io::ModeGramFromStore) through the shared M2tdFactors, under
+///    `options.init`; peak memory is one chunk slab plus an I_n x I_n
+///    Gram.
 ///  - The join tensor is *never materialized*: join cells only pair
 ///    entries sharing a pivot configuration, and core (TTM) contributions
 ///    are additive over any partition of the join's entries — so the core

@@ -1,6 +1,7 @@
 #include "io/tensor_io.h"
 
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -28,6 +29,18 @@ Status ParseFailed(const std::string& path, const std::string& what) {
 Status RejectEntry(const std::string& path, const Status& why) {
   return Status::InvalidArgument("rejected entry in '" + path +
                                  "': " + why.message());
+}
+
+/// Bytes between the read position of `in` and the end of the file: the
+/// bound on what a declared entry count may claim before anything is
+/// reserved for it.
+std::uint64_t BytesLeft(std::istream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  if (here < 0 || end < here) return 0;
+  return static_cast<std::uint64_t>(end - here);
 }
 
 }  // namespace
@@ -64,7 +77,8 @@ Result<tensor::SparseTensor> LoadSparseText(const std::string& path) {
   }
   std::string token;
   std::size_t modes = 0;
-  if (!(in >> token >> modes) || token != "modes" || modes == 0) {
+  if (!(in >> token >> modes) || token != "modes" || modes == 0 ||
+      modes > 64) {
     return ParseFailed(path, "bad mode count");
   }
   if (!(in >> token) || token != "shape") {
@@ -78,6 +92,12 @@ Result<tensor::SparseTensor> LoadSparseText(const std::string& path) {
   if (!(in >> token >> nnz) || token != "nnz") {
     return ParseFailed(path, "bad nnz");
   }
+  // Every entry is modes + 1 tokens, each at least one character plus a
+  // separator.
+  if (nnz > BytesLeft(in) / (2 * (modes + 1))) {
+    return ParseFailed(path, "nnz " + std::to_string(nnz) +
+                                 " exceeds the file size");
+  }
   tensor::SparseTensor x(shape);
   x.Reserve(nnz);
   std::vector<std::uint32_t> idx(modes);
@@ -88,8 +108,14 @@ Result<tensor::SparseTensor> LoadSparseText(const std::string& path) {
       if (i >= shape[m]) return ParseFailed(path, "index out of range");
       idx[m] = static_cast<std::uint32_t>(i);
     }
-    double value = 0.0;
-    if (!(in >> value)) return ParseFailed(path, "truncated value");
+    // strtod, unlike operator>>, accepts nan/inf, so a non-finite value
+    // reaches AppendEntryChecked and is reported at its coordinate.
+    if (!(in >> token)) return ParseFailed(path, "truncated value");
+    char* parsed_end = nullptr;
+    const double value = std::strtod(token.c_str(), &parsed_end);
+    if (parsed_end != token.c_str() + token.size()) {
+      return ParseFailed(path, "bad value '" + token + "'");
+    }
     const Status appended = x.AppendEntryChecked(idx, value);
     if (!appended.ok()) return RejectEntry(path, appended);
   }
@@ -140,6 +166,11 @@ Result<tensor::SparseTensor> LoadSparseBinary(const std::string& path) {
     if (!read_u64(&d) || d == 0) return ParseFailed(path, "bad shape");
   }
   if (!read_u64(&nnz)) return ParseFailed(path, "bad nnz");
+  // Each entry stores one u32 per mode plus one double.
+  if (nnz > BytesLeft(in) / (modes * sizeof(std::uint32_t) + sizeof(double))) {
+    return ParseFailed(path, "nnz " + std::to_string(nnz) +
+                                 " exceeds the file size");
+  }
 
   std::vector<std::vector<std::uint32_t>> indices(modes);
   for (std::size_t m = 0; m < modes; ++m) {
@@ -196,7 +227,8 @@ Result<tensor::DenseTensor> LoadDenseText(const std::string& path) {
   }
   std::string token;
   std::size_t modes = 0;
-  if (!(in >> token >> modes) || token != "modes" || modes == 0) {
+  if (!(in >> token >> modes) || token != "modes" || modes == 0 ||
+      modes > 64) {
     return ParseFailed(path, "bad mode count");
   }
   if (!(in >> token) || token != "shape") {
@@ -205,6 +237,15 @@ Result<tensor::DenseTensor> LoadDenseText(const std::string& path) {
   std::vector<std::uint64_t> shape(modes);
   for (std::uint64_t& d : shape) {
     if (!(in >> d) || d == 0) return ParseFailed(path, "bad shape entry");
+  }
+  // Every element is one token plus a separator.
+  const std::uint64_t max_elements = BytesLeft(in) / 2;
+  std::uint64_t elements = 1;
+  for (std::uint64_t d : shape) {
+    if (d > max_elements / elements) {
+      return ParseFailed(path, "shape exceeds the file size");
+    }
+    elements *= d;
   }
   tensor::DenseTensor x(shape);
   for (std::uint64_t i = 0; i < x.NumElements(); ++i) {

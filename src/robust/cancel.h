@@ -226,7 +226,7 @@ Status CheckCancelled();
 ///
 /// ParallelFor chunks have no Status channel; a cancelled region throws
 /// CancelledError through the pool's existing first-exception machinery
-/// and conversion points (RunHooi, the MapReduce engine, M2tdDecompose,
+/// and conversion points (RunHooi, DM2tdDecompose, M2tdDecompose,
 /// the CLI main) turn it back into a Status via ToStatus().
 class CancelledError : public std::runtime_error {
  public:

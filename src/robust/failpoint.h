@@ -15,7 +15,7 @@ namespace m2td::robust {
 /// \brief Deterministic fault-injection framework.
 ///
 /// Library code registers *failpoints* — named spots at the fallible seams
-/// of the pipeline (chunk blob writes, MapReduce task bodies, simulation
+/// of the pipeline (chunk blob writes, D-M2TD task bodies, simulation
 /// runs) — by calling CheckFailpoint("name") and propagating any non-OK
 /// Status it returns. In production nothing is armed and a check costs one
 /// relaxed atomic load; tests, the CLI (--fail_point), and the
@@ -35,7 +35,7 @@ namespace m2td::robust {
 ///   seed=S    seeds the per-failpoint PRNG used by prob. Default 0.
 ///
 /// Examples: "chunk_store.read_blob:times=1",
-/// "mapreduce.map_task:prob=0.2,seed=7", "ooc.slab:after=5".
+/// "dist.map_task:prob=0.2,seed=7", "ooc.slab:after=5".
 ///
 /// A fired failpoint returns Status::Internal mentioning the failpoint
 /// name, increments the obs counter `robust.failpoint_fires` (and

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -31,7 +30,6 @@
 #include "core/pf_partition.h"
 #include "ensemble/simulation_model.h"
 #include "io/chunk_store.h"
-#include "mapreduce/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -245,31 +243,32 @@ TEST_F(ChaosTest, OocCancelMidSlabFlushesCheckpointThenResumesBitIdentical) {
   ExpectBitIdentical(*resumed, *uninterrupted);
 }
 
-TEST_F(ChaosTest, MapReduceCancelMidMapDrainsWithoutRetrying) {
+TEST_F(ChaosTest, ThreadDm2tdCancelMidPhaseDrainsWithoutRetrying) {
+  auto model = PendulumModel(4);
+  auto partition = core::MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
   robust::SetRetrySleeperForTest([](double) {});
-  robust::CancelSource source;
-  mapreduce::JobSpec<int, int, int, int> spec;
-  std::atomic<int> mapped{0};
-  spec.mapper = [&](const int& value, mapreduce::Emitter<int, int>* emit) {
-    if (mapped.fetch_add(1) + 1 == 200) {
-      source.Cancel();  // in-band: fired from inside a map task
-    }
-    emit->Emit(value % 7, value);
-  };
-  spec.reducer = [](const int& key, std::vector<int>& values,
-                    std::vector<int>* out) {
-    out->push_back(key + static_cast<int>(values.size()));
-  };
-  spec.num_workers = 2;
-  spec.retry.max_retries = 3;
-  std::vector<int> inputs(2000);
-  std::iota(inputs.begin(), inputs.end(), 0);
+  core::DM2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  options.num_workers = 2;
+  options.retry.max_retries = 3;
 
   obs::GetCounter("robust.retry_attempts").Reset();
-  robust::CancelScope scope(source.token());
-  auto result = mapreduce::RunJob(spec, inputs);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  robust::CancelSource source;
+  {
+    // Phase 1 opens one "dist_reduce"; the 2nd is phase 2's join, so the
+    // cancel lands just as the stitch's reduce tasks are about to start.
+    SpanTrigger trigger("dist_reduce", /*at=*/2, &source);
+    robust::CancelScope scope(source.token());
+    auto result = core::DM2tdDecompose(*subs, *partition,
+                                       model->space().Shape(), options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  }
+  // The run stopped inside phase 2: no phase-3 reduce ever opened.
+  EXPECT_EQ(g_span_hits.load(), 2);
   // Cancellation is not a task failure: the retry layer must not replay.
   EXPECT_EQ(obs::GetCounter("robust.retry_attempts").value(), 0u);
 }
@@ -295,7 +294,7 @@ TEST_F(ChaosTest, SeededScheduleSoakNeverHangsOrMiscounts) {
     options.num_workers = 2;
     options.retry.max_retries = 6;
     ASSERT_TRUE(robust::ArmFailpointsFromString(
-                    "mapreduce.map_task:prob=0.25,seed=" +
+                    "dist.map_task:prob=0.25,seed=" +
                     std::to_string(seed))
                     .ok());
     robust::CancelSource source(

@@ -9,6 +9,7 @@
 #include "core/m2td.h"
 #include "core/pf_partition.h"
 #include "ensemble/simulation_model.h"
+#include "obs/trace.h"
 #include "tensor/tucker.h"
 #include "util/random.h"
 
@@ -512,6 +513,62 @@ TEST(DM2tdTest, ReportsPhaseStats) {
   EXPECT_GT(result->phase2.intermediate_pairs, 0u);
   EXPECT_GT(result->phase3.intermediate_pairs, 0u);
   EXPECT_GE(result->TotalSeconds(), 0.0);
+}
+
+TEST(DM2tdTest, RejectsShapeWhoseShuffleKeysOverflow) {
+  // 2^100 cells: the row-major pivot / fiber / sort keys would wrap.
+  auto partition = MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  DM2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  auto result = DM2tdDecompose(SubEnsembles{}, *partition,
+                               std::vector<std::uint64_t>(5, 1ULL << 20),
+                               options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+// One clock: every PhaseStats time is the End() value of the span the
+// trace records under the same name, so the phase times m2td_cli prints
+// and the trace agree exactly.
+TEST(DM2tdTest, PhaseTimesAreTheirSpanTimes) {
+  auto model = SmallModel();
+  auto partition = MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = BuildSubEnsembles(model.get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
+  DM2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  options.num_workers = 3;
+  obs::Tracer& tracer = obs::Tracer::Get();
+  tracer.Reset();
+  obs::SetTracingEnabled(true);
+  auto result =
+      DM2tdDecompose(*subs, *partition, model->space().Shape(), options);
+  obs::SetTracingEnabled(false);
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  EXPECT_DOUBLE_EQ(result->phase1.seconds,
+                   tracer.SpanTotalSeconds("sub_decompose"));
+  EXPECT_DOUBLE_EQ(result->phase2.seconds, tracer.SpanTotalSeconds("stitch"));
+  EXPECT_DOUBLE_EQ(result->phase3.seconds,
+                   tracer.SpanTotalSeconds("core_recovery"));
+  const PhaseStats* phases[] = {&result->phase1, &result->phase2,
+                                &result->phase3};
+  double map = 0.0, reduce = 0.0, gather = 0.0;
+  for (const PhaseStats* phase : phases) {
+    map += phase->map_seconds;
+    reduce += phase->reduce_seconds;
+    gather += phase->gather_seconds;
+    EXPECT_LE(phase->map_seconds + phase->reduce_seconds +
+                  phase->gather_seconds,
+              phase->seconds);
+  }
+  EXPECT_NEAR(map, tracer.SpanTotalSeconds("dist_map"), 1e-9);
+  EXPECT_NEAR(reduce, tracer.SpanTotalSeconds("dist_reduce"), 1e-9);
+  EXPECT_NEAR(gather, tracer.SpanTotalSeconds("dist_gather"), 1e-9);
+  EXPECT_GT(result->phase3.reduce_seconds, 0.0);
+  tracer.Reset();
 }
 
 // ------------------------------------------------------------- Experiment

@@ -30,6 +30,7 @@
 #include "io/chunk_store.h"
 #include "linalg/matrix.h"
 #include "mapreduce/wire.h"
+#include "obs/metrics.h"
 #include "robust/heartbeat.h"
 #include "tensor/tucker.h"
 
@@ -402,6 +403,59 @@ TEST_F(DistTest, ShardCountNeverAffectsResults) {
                                       model->space().Shape(), options);
   ASSERT_TRUE(shards3.ok()) << shards3.status();
   ExpectBitIdentical(*shards3, *shards8);
+}
+
+// A worker's heartbeat period must not delay its exit. `quit` wakes the
+// heartbeat thread at once, so a 6 s period neither stretches the run
+// past the coordinator's 5 s drain grace nor gets the workers SIGKILLed
+// before they export their counters into the job directory.
+TEST_F(DistTest, SlowHeartbeatDoesNotDelayWorkerExit) {
+  auto model = SmallModel();
+  auto partition = core::MakePartition(5, {0});
+  ASSERT_TRUE(partition.ok());
+  auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
+  ASSERT_TRUE(subs.ok());
+  const char* kShuffleCounters[] = {
+      "io.shuffle_blobs_written", "io.shuffle_bytes_written",
+      "io.shuffle_blobs_read", "io.shuffle_bytes_read"};
+
+  struct Run {
+    double seconds = 0.0;
+    std::vector<std::uint64_t> counters;
+  };
+  auto run = [&](double heartbeat_ms, const std::string& job) {
+    for (const char* name : kShuffleCounters) obs::GetCounter(name).Reset();
+    core::DM2tdOptions options;
+    options.ranks = std::vector<std::uint64_t>(5, 2);
+    options.backend = core::DistBackend::kProcess;
+    options.process.worker_binary = M2TD_WORKER_BIN;
+    options.num_workers = 2;
+    options.process.job_dir = Path(job);
+    options.process.heartbeat_ms = heartbeat_ms;
+    const auto start = std::chrono::steady_clock::now();
+    auto result = core::DM2tdDecompose(*subs, *partition,
+                                       model->space().Shape(), options);
+    Run out;
+    out.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    EXPECT_TRUE(result.ok()) << result.status();
+    for (const char* name : kShuffleCounters) {
+      out.counters.push_back(obs::GetCounter(name).value());
+    }
+    return out;
+  };
+
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  const Run fast = run(50.0, "fast");
+  const Run slow = run(6000.0, "slow");
+  obs::SetMetricsEnabled(metrics_were_enabled);
+
+  EXPECT_LT(slow.seconds, 3.0);
+  EXPECT_GT(fast.counters[0], 0u);
+  // The workers' own shuffle writes and reads are merged in both runs.
+  EXPECT_EQ(slow.counters, fast.counters);
 }
 
 TEST_F(DistTest, ZeroJoinProcessMatchesThread) {

@@ -108,6 +108,33 @@ TEST_F(OocM2tdTest, SparseSubEnsemblesAndOddChunking) {
   EXPECT_NEAR(tensor::DenseTensor::FrobeniusDistance(*r1, *r2), 0.0, 1e-8);
 }
 
+TEST_F(OocM2tdTest, HonoursRandomizedInit) {
+  BuildStores({}, /*chunk=*/2);
+  M2tdOptions options;
+  options.ranks = std::vector<std::uint64_t>(5, 2);
+  auto deterministic = M2tdDecomposeFromStores(
+      *store1_, *store2_, partition_, model_->space().Shape(), options);
+  ASSERT_TRUE(deterministic.ok()) << deterministic.status();
+
+  // A sketch narrower than the modes, with no power iterations, so the
+  // sketched factors are visibly not the exact eigenvectors.
+  options.init.method = linalg::GramFactorMethod::kRandomized;
+  options.init.sketch.oversampling = 1;
+  options.init.sketch.power_iterations = 0;
+  auto in_memory =
+      M2tdDecompose(subs_, partition_, model_->space().Shape(), options);
+  auto out_of_core = M2tdDecomposeFromStores(
+      *store1_, *store2_, partition_, model_->space().Shape(), options);
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status();
+  ASSERT_TRUE(out_of_core.ok()) << out_of_core.status();
+  auto r_det = tensor::Reconstruct(deterministic->tucker);
+  auto r1 = tensor::Reconstruct(in_memory->tucker);
+  auto r2 = tensor::Reconstruct(out_of_core->tucker);
+  ASSERT_TRUE(r_det.ok() && r1.ok() && r2.ok());
+  EXPECT_NEAR(tensor::DenseTensor::FrobeniusDistance(*r1, *r2), 0.0, 1e-8);
+  EXPECT_GT(tensor::DenseTensor::FrobeniusDistance(*r_det, *r2), 1e-6);
+}
+
 TEST_F(OocM2tdTest, Validation) {
   BuildStores({}, 2);
   M2tdOptions options;

@@ -1,6 +1,6 @@
 // Tests for the fault-tolerance subsystem (src/robust/) and its wiring
 // through the pipeline: deterministic failpoints, retry/backoff, CRC'd
-// durable chunk IO, checkpoint journals, MapReduce task retry, OOC
+// durable chunk IO, checkpoint journals, D-M2TD task retry, OOC
 // checkpoint-resume, and budget-preserving ensemble rebuilds.
 //
 // Everything here is deterministic: backoff delays are collected through
@@ -30,7 +30,6 @@
 #include "ensemble/simulation_model.h"
 #include "io/chunk_store.h"
 #include "io/tensor_io.h"
-#include "mapreduce/engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "robust/cancel.h"
@@ -382,7 +381,7 @@ TEST_F(RobustTest, JournalRejectsFingerprintMismatch) {
   EXPECT_EQ(fresh->NumMarks(), 0u);
 }
 
-// --------------------------------------------- MapReduce task retry (DM2TD)
+// ------------------------------------------- D-M2TD task retry (thread)
 
 std::unique_ptr<ensemble::DynamicalSystemModel> PendulumModel(
     std::uint32_t resolution) {
@@ -394,7 +393,7 @@ std::unique_ptr<ensemble::DynamicalSystemModel> PendulumModel(
   return std::move(model).ValueOrDie();
 }
 
-/// Runs DM2TD under an armed mapreduce.map_task failpoint and asserts the
+/// Runs thread D-M2TD under an armed dist.* task failpoint and asserts the
 /// result equals the clean run's bit-for-bit (task replays are pure).
 void ExpectDm2tdSurvivesInjection(const std::string& failpoint_spec,
                                   int max_retries) {
@@ -432,19 +431,19 @@ void ExpectDm2tdSurvivesInjection(const std::string& failpoint_spec,
 }
 
 TEST_F(RobustTest, Dm2tdHealsDeterministicMapTaskFailures) {
-  ExpectDm2tdSurvivesInjection("mapreduce.map_task:times=2",
+  ExpectDm2tdSurvivesInjection("dist.map_task:times=2",
                                /*max_retries=*/3);
 }
 
 TEST_F(RobustTest, Dm2tdHealsProbabilisticMapTaskFailures) {
   // prob=0.2 per eligible hit; generous retries keep the chance of a task
   // exhausting all attempts (0.2^9 per chain) out of flake territory.
-  ExpectDm2tdSurvivesInjection("mapreduce.map_task:prob=0.2,seed=11",
+  ExpectDm2tdSurvivesInjection("dist.map_task:prob=0.2,seed=11",
                                /*max_retries=*/8);
 }
 
 TEST_F(RobustTest, Dm2tdHealsReduceTaskFailures) {
-  ExpectDm2tdSurvivesInjection("mapreduce.reduce_task:times=2",
+  ExpectDm2tdSurvivesInjection("dist.reduce_task:times=2",
                                /*max_retries=*/3);
 }
 
@@ -455,7 +454,7 @@ TEST_F(RobustTest, Dm2tdWithoutRetriesStillFailsCleanly) {
   auto subs = core::BuildSubEnsembles(model.get(), *partition, {});
   ASSERT_TRUE(subs.ok());
   ASSERT_TRUE(
-      robust::ArmFailpointsFromString("mapreduce.map_task:times=1").ok());
+      robust::ArmFailpointsFromString("dist.map_task:times=1").ok());
   core::DM2tdOptions options;
   options.ranks = std::vector<std::uint64_t>(5, 2);
   auto result = core::DM2tdDecompose(*subs, *partition,
