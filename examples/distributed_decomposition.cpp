@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
                    std::to_string(stats.intermediate_pairs)});
   };
   add_phase("1: sub-tensor decomposition", dist->phase1);
-  add_phase("2: JE-stitching", dist->phase2);
-  add_phase("3: core recovery (N TTM jobs)", dist->phase3);
+  add_phase("2: JE-stitching (per-pivot sums)", dist->phase2);
+  add_phase("3: core recovery (sum over pivot records)", dist->phase3);
   std::cout << "D-M2TD with " << workers << " workers (join nnz "
             << dist->join_nnz << "):\n";
   phases.Print(std::cout);

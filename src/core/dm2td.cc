@@ -1,16 +1,18 @@
 #include "core/dm2td.h"
 
+#include <algorithm>
 #include <exception>
 #include <functional>
-#include <iterator>
+#include <numeric>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 
 #include "core/dm2td_dist.h"
 #include "core/dm2td_internal.h"
+#include "core/separable_core.h"
 #include "obs/trace.h"
 #include "parallel/parallel_for.h"
 #include "robust/cancel.h"
@@ -21,8 +23,6 @@ namespace m2td::core {
 
 namespace {
 
-using dm2td_internal::JobGeometry;
-using dm2td_internal::JoinCell;
 using dm2td_internal::TensorCell;
 
 /// Runs `body(t)` for every task t in [0, tasks) as jobs on the shared
@@ -59,90 +59,17 @@ Status RunTasks(std::size_t tasks, const char* seam,
   return Status::OK();
 }
 
-/// One map + reduce round over `input`. Map tasks key every record
-/// (`key_of`); the records are stably grouped by ascending key
-/// (StableKeyOrder: a group keeps its records' input order, as the
-/// process backend's reduce tasks see them) and projected to reduce items
-/// (`item_of`); reduce tasks fold contiguous runs of groups (`fold`); and
-/// the outputs are gathered in canonical order. The three steps run
-/// under the `dist_map` / `dist_reduce` / `dist_gather` spans, whose
-/// times accumulate into `stats`.
-template <typename Record, typename KeyFn, typename ItemFn, typename FoldFn>
-Result<std::vector<JoinCell>> RunRound(std::vector<Record>& input,
-                                       const KeyFn& key_of,
-                                       const ItemFn& item_of,
-                                       const FoldFn& fold,
-                                       const DM2tdOptions& options,
-                                       PhaseStats* stats) {
-  using Item = std::invoke_result_t<const ItemFn&, Record&>;
-  const std::size_t workers = static_cast<std::size_t>(options.num_workers);
-
-  obs::ObsSpan map_span("dist_map", obs::ObsSpan::kAlwaysTime);
-  std::vector<std::uint64_t> keys(input.size());
-  M2TD_RETURN_IF_ERROR(RunTasks(
-      workers, "dist.map_task", options.retry, [&](std::size_t t) {
-        // Task t keys its contiguous share of the records.
-        for (std::size_t i = input.size() * t / workers;
-             i < input.size() * (t + 1) / workers; ++i) {
-          keys[i] = key_of(input[i]);
-        }
-        return Status::OK();
-      }));
-  std::vector<std::uint64_t> group_keys;
-  std::vector<std::size_t> offsets;  // group g: items[offsets[g], ...[g+1])
-  std::vector<Item> items;
-  items.reserve(input.size());
-  for (std::size_t i : dm2td_internal::StableKeyOrder(keys)) {
-    if (items.empty() || keys[i] != group_keys.back()) {
-      group_keys.push_back(keys[i]);
-      offsets.push_back(items.size());
-    }
-    items.push_back(item_of(input[i]));
-  }
-  offsets.push_back(items.size());
-  stats->intermediate_pairs += items.size();
-  stats->map_seconds += map_span.End();
-
-  obs::ObsSpan reduce_span("dist_reduce", obs::ObsSpan::kAlwaysTime);
-  std::vector<std::vector<JoinCell>> outputs(workers);
-  M2TD_RETURN_IF_ERROR(RunTasks(
-      workers, "dist.reduce_task", options.retry, [&](std::size_t t) {
-        outputs[t].clear();
-        for (std::size_t g = group_keys.size() * t / workers;
-             g < group_keys.size() * (t + 1) / workers; ++g) {
-          fold(group_keys[g],
-               std::span<const Item>(items).subspan(
-                   offsets[g], offsets[g + 1] - offsets[g]),
-               &outputs[t]);
-        }
-        return Status::OK();
-      }));
-  stats->reduce_seconds += reduce_span.End();
-
-  obs::ObsSpan gather_span("dist_gather", obs::ObsSpan::kAlwaysTime);
-  std::vector<JoinCell> cells;
-  for (std::vector<JoinCell>& part : outputs) {
-    cells.insert(cells.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-  }
-  dm2td_internal::SortJoinCells(&cells);
-  stats->gather_seconds += gather_span.End();
-  return cells;
-}
-
 /// Thread backend: each phase's map and reduce tasks run on the shared
-/// pool, over the same per-group bodies (JoinPivotGroup / ContractFiber)
-/// the process backend's reduce tasks use. Groups are folded in ascending
-/// key order with their records in input order, and every inter-phase
-/// stream is put in canonical order (SortJoinCells), so results are
-/// bit-identical at any num_workers — and to the process backend.
+/// pool, over the same per-group body (SumPivotGroup) the process
+/// backend's reduce tasks use, and phase 3 is the same SeparableCore
+/// run. Groups keep their cells' input order and pivot records stay in
+/// ascending key order, so results are bit-identical at any num_workers —
+/// and to the process backend.
 Result<DM2tdResult> DecomposeThreadBackend(
     const SubEnsembles& subs, const PfPartition& partition,
     const std::vector<std::uint64_t>& full_shape,
     const DM2tdOptions& options) {
-  const std::size_t num_modes = full_shape.size();
-  const JobGeometry geometry =
-      dm2td_internal::MakeGeometry(partition, full_shape);
+  const std::size_t workers = static_cast<std::size_t>(options.num_workers);
 
   DM2tdResult result;
   obs::ObsSpan total_span("dm2td_decompose", obs::ObsSpan::kAlwaysTime);
@@ -163,65 +90,74 @@ Result<DM2tdResult> DecomposeThreadBackend(
   result.phase1.reduce_seconds = factor_span.End();
   result.phase1.seconds = sub_span.End();
 
-  // ---------- Phase 2: JE-stitching, grouped by pivot configuration. ----
+  // ---------- Phase 2: per-pivot partial sums. ----------
   obs::ObsSpan stitch_span("stitch", obs::ObsSpan::kAlwaysTime);
+  M2TD_ASSIGN_OR_RETURN(const SeparableCore sep,
+                        SeparableCore::Make(partition, full_shape, factors));
   std::vector<TensorCell> cells = dm2td_internal::CollectCells(subs);
-  // Zero-join candidate sets are global; gather them driver-side.
-  std::vector<std::uint64_t> cand1, cand2;
-  if (options.stitch.zero_join) {
-    dm2td_internal::GatherZeroJoinCandidates(cells, geometry, &cand1, &cand2);
+
+  // Map: task t keys its contiguous share of the cells by pivot; the
+  // cells are then stably grouped by ascending key, so a group keeps its
+  // cells' input order, as the process backend's reduce tasks see them.
+  obs::ObsSpan map_span("dist_map", obs::ObsSpan::kAlwaysTime);
+  std::vector<std::uint64_t> keys(cells.size());
+  M2TD_RETURN_IF_ERROR(RunTasks(
+      workers, "dist.map_task", options.retry, [&](std::size_t t) {
+        for (std::size_t i = cells.size() * t / workers;
+             i < cells.size() * (t + 1) / workers; ++i) {
+          keys[i] = sep.PivotKey(cells[i].idx);
+        }
+        return Status::OK();
+      }));
+  std::vector<std::uint64_t> group_keys;
+  std::vector<std::size_t> offsets;  // group g: grouped[offsets[g], [g+1])
+  std::vector<TensorCell> grouped;
+  grouped.reserve(cells.size());
+  std::vector<std::size_t> order(cells.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return keys[a] < keys[b];
+  });
+  for (std::size_t i : order) {
+    if (grouped.empty() || keys[i] != group_keys.back()) {
+      group_keys.push_back(keys[i]);
+      offsets.push_back(grouped.size());
+    }
+    grouped.push_back(std::move(cells[i]));
   }
-  M2TD_ASSIGN_OR_RETURN(
-      std::vector<JoinCell> join_cells,
-      RunRound(
-          cells,
-          [&geometry](const TensorCell& cell) {
-            return dm2td_internal::PivotKey(cell.idx, geometry.pivot_dims);
-          },
-          [](TensorCell& cell) { return std::move(cell); },
-          [&](std::uint64_t key, std::span<const TensorCell> group,
-              std::vector<JoinCell>* out) {
-            dm2td_internal::JoinPivotGroup(key, group, geometry,
-                                           options.stitch.zero_join, cand1,
-                                           cand2, out);
-          },
-          options, &result.phase2));
-  result.join_nnz = join_cells.size();
+  offsets.push_back(grouped.size());
+  result.phase2.intermediate_pairs = grouped.size();
+  result.phase2.map_seconds = map_span.End();
+
+  // Reduce: task t sums its contiguous run of pivot groups.
+  obs::ObsSpan reduce_span("dist_reduce", obs::ObsSpan::kAlwaysTime);
+  std::vector<PivotSums> sums(group_keys.size());
+  M2TD_RETURN_IF_ERROR(RunTasks(
+      workers, "dist.reduce_task", options.retry, [&](std::size_t t) {
+        for (std::size_t g = group_keys.size() * t / workers;
+             g < group_keys.size() * (t + 1) / workers; ++g) {
+          sums[g] = dm2td_internal::SumPivotGroup(
+              sep, group_keys[g],
+              std::span<const TensorCell>(grouped).subspan(
+                  offsets[g], offsets[g + 1] - offsets[g]));
+        }
+        return Status::OK();
+      }));
+  result.phase2.reduce_seconds = reduce_span.End();
+  std::optional<CandidateSums> candidates;
+  if (options.stitch.zero_join) candidates = sep.CandidatesOf(subs);
+  result.join_nnz = SeparableCore::JoinNnz(sums, candidates);
   stitch_span.Annotate("join_nnz", result.join_nnz);
   result.phase2.seconds = stitch_span.End();
 
-  // ---------- Phase 3: one map + reduce round per mode. ----------
+  // ---------- Phase 3: the core from the pivot records, on the pool. ----
   obs::ObsSpan core_span("core_recovery", obs::ObsSpan::kAlwaysTime);
-  std::vector<std::uint64_t> current_shape = full_shape;
-  for (std::size_t n = 0; n < num_modes; ++n) {
-    obs::ObsSpan ttm_span("ttm_job");
-    ttm_span.Annotate("mode", static_cast<std::uint64_t>(n));
-    M2TD_ASSIGN_OR_RETURN(
-        join_cells,
-        RunRound(
-            join_cells,
-            [&, n](const JoinCell& cell) {
-              return dm2td_internal::Phase3FiberKey(cell, n, current_shape);
-            },
-            [n](JoinCell& cell) {
-              return std::pair<std::uint32_t, double>(cell.idx[n],
-                                                      cell.value);
-            },
-            [&, n](std::uint64_t key,
-                   std::span<const std::pair<std::uint32_t, double>> fiber,
-                   std::vector<JoinCell>* out) {
-              dm2td_internal::ContractFiber(key, fiber, factors[n], n,
-                                            current_shape, out);
-            },
-            options, &result.phase3));
-    current_shape[n] = factors[n].cols();
-  }
-
-  // Materialize the core.
-  tensor::DenseTensor core(current_shape);
-  for (const JoinCell& cell : join_cells) {
-    core.at(cell.idx) += cell.value;
-  }
+  obs::ObsSpan core_reduce_span("dist_reduce", obs::ObsSpan::kAlwaysTime);
+  tensor::DenseTensor core(sep.CoreShape());
+  M2TD_RETURN_IF_ERROR(sep.AddToCore(sums, candidates, &core));
+  result.phase3.intermediate_pairs = sums.size();
+  result.phase3.reduce_seconds = core_reduce_span.End();
   result.phase3.seconds = core_span.End();
   result.tucker.core = std::move(core);
   result.tucker.factors = std::move(factors);

@@ -15,7 +15,7 @@
 
 namespace m2td::core {
 
-/// Execution backend for the three D-M2TD MapReduce phases.
+/// Execution backend for the D-M2TD phases.
 enum class DistBackend {
   /// In-process: each phase's map and reduce tasks are jobs on the shared
   /// thread pool (parallel::GlobalPool()).
@@ -35,8 +35,8 @@ struct DistEvent {
   /// "reconnect", "disconnect", "speculate", "speculate_won",
   /// "speculate_cancelled".
   std::string kind;
-  /// Phase the event belongs to ("p1map", "p2red", "p3map_1", ...); empty
-  /// for lifecycle events.
+  /// Phase the event belongs to ("p1map", "p1red", "p2map", "p2red");
+  /// empty for lifecycle events.
   std::string phase;
   int task = -1;
   int worker = -1;
@@ -169,17 +169,19 @@ struct DistStats {
 
 /// Timing and volume of one D-M2TD phase. Every time is the End() value
 /// of the identically named span of the same run (both backends), so the
-/// trace and these numbers come from one clock; phase-3 values sum over
-/// the N per-mode jobs.
+/// trace and these numbers come from one clock.
 struct PhaseStats {
   /// The phase span: "sub_decompose", "stitch", or "core_recovery".
   double seconds = 0.0;
   /// The phase's "dist_map" / "dist_reduce" / "dist_gather" spans (the
-  /// thread backend's phase 1 is a single "dist_reduce").
+  /// thread backend's phases 1 and 3 are a single "dist_reduce", and its
+  /// phase 2 has no gather; the process backend's phase 3 is one
+  /// coordinator "dist_reduce").
   double map_seconds = 0.0;
   double reduce_seconds = 0.0;
   double gather_seconds = 0.0;
-  /// Records shuffled from the map to the reduce side.
+  /// Records shuffled from the map to the reduce side; for phase 3, the
+  /// pivot records the core is summed from.
   std::uint64_t intermediate_pairs = 0;
 
   double TotalSeconds() const { return seconds; }
@@ -191,10 +193,10 @@ struct DM2tdResult {
   std::uint64_t join_nnz = 0;
   /// Phase 1: parallel sub-tensor decomposition (Gram accumulation).
   PhaseStats phase1;
-  /// Phase 2: parallel JE-stitching (shuffle on pivot configuration).
+  /// Phase 2: parallel JE-stitching as per-pivot partial sums (shuffle on
+  /// pivot configuration).
   PhaseStats phase2;
-  /// Phase 3: parallel tensor-matrix chain recovering the core — the
-  /// dominant cost, per the paper.
+  /// Phase 3: core recovery from the pivot records.
   PhaseStats phase3;
   DistStats dist;
 
@@ -210,16 +212,17 @@ struct DM2tdResult {
 /// them into (combined) factor matrices through the shared M2tdFactors
 /// (the process backend ships cells to Gram reducers first; the thread
 /// backend reads the sub-tensors in place). Phase 2 groups the cells of
-/// both sub-tensors by pivot configuration and joins within each group.
-/// Phase 3 runs one map + reduce round per mode, each contracting the
-/// current tensor's fibers with that mode's factor matrix, ending at the
-/// dense core.
+/// both sub-tensors by pivot configuration and reduces each group to its
+/// partial sums (SeparableCore's PivotSums: P × Πr_side doubles per side
+/// instead of the P·E² join cells). Phase 3 sums the core from those
+/// records with SeparableCore::AddToCore, on the pool (thread backend) or
+/// the coordinator (process backend).
 ///
 /// Backends: `options.backend` selects in-process threads (default) or
 /// real worker processes (see DistBackend::kProcess). Results are
-/// bit-identical across backends, worker counts, and shard counts: every
-/// inter-phase record stream is canonically ordered and per-group
-/// arithmetic runs through the same shared code.
+/// bit-identical across backends, worker counts, and shard counts: pivot
+/// records are summed in ascending key order and per-group arithmetic
+/// runs through the same shared code.
 ///
 /// Produces the same decomposition as M2tdDecompose (up to floating-point
 /// reassociation in the Gram sums).

@@ -18,6 +18,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -25,6 +26,7 @@
 
 #include "core/dm2td_internal.h"
 #include "core/dm2td_tasks.h"
+#include "core/separable_core.h"
 #include "io/chunk_store.h"
 #include "mapreduce/transport.h"
 #include "obs/metrics.h"
@@ -40,8 +42,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using dm2td_internal::GramPiece;
-using dm2td_internal::JobGeometry;
-using dm2td_internal::JoinCell;
 using dm2td_internal::TensorCell;
 using dm2td_tasks::DistJobConfig;
 using dm2td_tasks::TaskRequest;
@@ -959,20 +959,6 @@ Status WriteCellSplits(const io::ShuffleStore& store,
   return Status::OK();
 }
 
-Status WriteJoinSplits(const io::ShuffleStore& store,
-                       const std::vector<JoinCell>& cells, int mode,
-                       int splits) {
-  for (int m = 0; m < splits; ++m) {
-    const auto [begin, end] = SplitRange(cells.size(), splits, m);
-    const std::vector<JoinCell> part(cells.begin() + begin,
-                                     cells.begin() + end);
-    M2TD_RETURN_IF_ERROR(store.WriteBlob(
-        "input/p3_" + std::to_string(mode) + "/split" + std::to_string(m),
-        dm2td_tasks::EncodeJoinCells(part)));
-  }
-  return Status::OK();
-}
-
 /// Reads the committed "data" blob of every reduce task of `phase`, in
 /// task order.
 Result<std::vector<std::string>> GatherReduceOutputs(
@@ -1057,7 +1043,7 @@ void MergeWorkerObs(const std::string& job_dir, int workers) {
 // --------------------------------------------------------- the pipeline
 
 /// Runs the map stage `map`, then the reduce stage consuming it ("p1map"
-/// -> "p1red", "p3map_2" -> "p3red_2"), under the `dist_map` /
+/// -> "p1red"), under the `dist_map` /
 /// `dist_reduce` spans; their times and the `records` shuffled
 /// accumulate into `stats`.
 Status RunMapReduce(Coordinator& coord, int shards, const TaskRequest& map,
@@ -1075,25 +1061,9 @@ Status RunMapReduce(Coordinator& coord, int shards, const TaskRequest& map,
   return Status::OK();
 }
 
-/// The committed join cells of reduce stage `phase`, in canonical order.
-Result<std::vector<JoinCell>> GatherJoinCells(const io::ShuffleStore& store,
-                                              const std::string& phase,
-                                              int shards) {
-  M2TD_ASSIGN_OR_RETURN(std::vector<std::string> payloads,
-                        GatherReduceOutputs(store, phase, shards));
-  std::vector<JoinCell> cells;
-  for (const std::string& payload : payloads) {
-    M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> part,
-                          dm2td_tasks::DecodeJoinCells(payload));
-    cells.insert(cells.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-  }
-  dm2td_internal::SortJoinCells(&cells);
-  return cells;
-}
-
 Result<DM2tdResult> RunPipeline(Coordinator& coord,
                                 const io::ShuffleStore& store,
+                                const SubEnsembles& subs,
                                 const PfPartition& partition,
                                 const std::vector<std::uint64_t>& full_shape,
                                 const DM2tdOptions& options,
@@ -1140,51 +1110,48 @@ Result<DM2tdResult> RunPipeline(Coordinator& coord,
   result.phase1.gather_seconds = gather1_span.End();
   result.phase1.seconds = sub_span.End();
 
-  // ---------- Phase 2: parallel JE-stitching. ----------
+  // ---------- Phase 2: per-pivot partial sums. ----------
   obs::ObsSpan stitch_span("stitch", obs::ObsSpan::kAlwaysTime);
-  TaskRequest p2map;
-  p2map.phase = "p2map";
-  M2TD_RETURN_IF_ERROR(
-      RunMapReduce(coord, shards, p2map, all_cells.size(), &result.phase2));
-  obs::ObsSpan gather2_span("dist_gather", obs::ObsSpan::kAlwaysTime);
-  M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> join_cells,
-                        GatherJoinCells(store, "p2red", shards));
-  result.phase2.gather_seconds = gather2_span.End();
-  result.join_nnz = join_cells.size();
-  stitch_span.Annotate("join_nnz", result.join_nnz);
-  result.phase2.seconds = stitch_span.End();
-
-  // ---------- Phase 3: one map+reduce stage pair per mode. ----------
-  obs::ObsSpan core_span("core_recovery", obs::ObsSpan::kAlwaysTime);
   for (std::size_t n = 0; n < num_modes; ++n) {
     M2TD_RETURN_IF_ERROR(
         store.WriteBlob("input/factor" + std::to_string(n),
                         dm2td_tasks::EncodeMatrix(factors[n])));
   }
-  std::vector<std::uint64_t> current_shape = full_shape;
-  for (std::size_t n = 0; n < num_modes; ++n) {
-    obs::ObsSpan ttm_span("ttm_job", obs::ObsSpan::kAlwaysTime);
-    ttm_span.Annotate("mode", static_cast<std::uint64_t>(n));
-    M2TD_RETURN_IF_ERROR(WriteJoinSplits(store, join_cells,
-                                         static_cast<int>(n), shards));
-    const std::string suffix = "_" + std::to_string(n);
-    TaskRequest p3map;
-    p3map.phase = "p3map" + suffix;
-    p3map.mode = static_cast<int>(n);
-    p3map.shape = current_shape;
-    M2TD_RETURN_IF_ERROR(RunMapReduce(coord, shards, p3map, join_cells.size(),
-                                      &result.phase3));
-    obs::ObsSpan gather3_span("dist_gather", obs::ObsSpan::kAlwaysTime);
-    M2TD_ASSIGN_OR_RETURN(join_cells,
-                          GatherJoinCells(store, "p3red" + suffix, shards));
-    result.phase3.gather_seconds += gather3_span.End();
-    current_shape[n] = factors[n].cols();
+  M2TD_ASSIGN_OR_RETURN(const SeparableCore sep,
+                        SeparableCore::Make(partition, full_shape, factors));
+  TaskRequest p2map;
+  p2map.phase = "p2map";
+  M2TD_RETURN_IF_ERROR(
+      RunMapReduce(coord, shards, p2map, all_cells.size(), &result.phase2));
+  obs::ObsSpan gather2_span("dist_gather", obs::ObsSpan::kAlwaysTime);
+  M2TD_ASSIGN_OR_RETURN(std::vector<std::string> sum_payloads,
+                        GatherReduceOutputs(store, "p2red", shards));
+  std::vector<PivotSums> sums;
+  for (const std::string& payload : sum_payloads) {
+    M2TD_ASSIGN_OR_RETURN(std::vector<PivotSums> part,
+                          dm2td_tasks::DecodePivotSums(payload));
+    sums.insert(sums.end(), std::make_move_iterator(part.begin()),
+                std::make_move_iterator(part.end()));
   }
+  // Each shard's records ascend; pivot keys are unique across shards.
+  std::sort(sums.begin(), sums.end(),
+            [](const PivotSums& a, const PivotSums& b) {
+              return a.pivot_key < b.pivot_key;
+            });
+  std::optional<CandidateSums> candidates;
+  if (options.stitch.zero_join) candidates = sep.CandidatesOf(subs);
+  result.join_nnz = SeparableCore::JoinNnz(sums, candidates);
+  result.phase2.gather_seconds = gather2_span.End();
+  stitch_span.Annotate("join_nnz", result.join_nnz);
+  result.phase2.seconds = stitch_span.End();
 
-  tensor::DenseTensor core(current_shape);
-  for (const JoinCell& cell : join_cells) {
-    core.at(cell.idx) += cell.value;
-  }
+  // ---------- Phase 3: the core from the pivot records. ----------
+  obs::ObsSpan core_span("core_recovery", obs::ObsSpan::kAlwaysTime);
+  obs::ObsSpan core_reduce_span("dist_reduce", obs::ObsSpan::kAlwaysTime);
+  tensor::DenseTensor core(sep.CoreShape());
+  M2TD_RETURN_IF_ERROR(sep.AddToCore(sums, candidates, &core));
+  result.phase3.intermediate_pairs = sums.size();
+  result.phase3.reduce_seconds = core_reduce_span.End();
   result.phase3.seconds = core_span.End();
   result.tucker.core = std::move(core);
   result.tucker.factors = std::move(factors);
@@ -1238,8 +1205,6 @@ Result<DM2tdResult> DM2tdDecomposeProcess(
                         io::ShuffleStore::Create(job_dir));
 
   // Job config + input blobs.
-  const JobGeometry geometry =
-      dm2td_internal::MakeGeometry(partition, full_shape);
   DistJobConfig config;
   config.full_shape = full_shape;
   config.shape1 = subs.x1.shape();
@@ -1248,21 +1213,11 @@ Result<DM2tdResult> DM2tdDecomposeProcess(
   config.side1_modes = partition.side1_modes;
   config.side2_modes = partition.side2_modes;
   config.shards = options.num_shards;
-  config.zero_join = options.stitch.zero_join;
   M2TD_RETURN_IF_ERROR(
       dm2td_tasks::SaveJobConfig(job_dir + "/job.m2td", config));
 
   const std::vector<TensorCell> all_cells = dm2td_internal::CollectCells(subs);
   M2TD_RETURN_IF_ERROR(WriteCellSplits(store, all_cells, options.num_shards));
-  if (options.stitch.zero_join) {
-    std::vector<std::uint64_t> cand1, cand2;
-    dm2td_internal::GatherZeroJoinCandidates(all_cells, geometry, &cand1,
-                                             &cand2);
-    M2TD_RETURN_IF_ERROR(
-        store.WriteBlob("input/cand1", dm2td_tasks::EncodeU64List(cand1)));
-    M2TD_RETURN_IF_ERROR(
-        store.WriteBlob("input/cand2", dm2td_tasks::EncodeU64List(cand2)));
-  }
 
   SigpipeGuard sigpipe_guard;
   // Coordinator-side net faults are armed for the run's duration only.
@@ -1278,8 +1233,8 @@ Result<DM2tdResult> DM2tdDecomposeProcess(
   Result<DM2tdResult> outcome = [&]() -> Result<DM2tdResult> {
     Coordinator coord(options, store, job_dir, worker_binary);
     M2TD_RETURN_IF_ERROR(coord.SpawnWorkers());
-    Result<DM2tdResult> result = RunPipeline(coord, store, partition,
-                                             full_shape, options, all_cells);
+    Result<DM2tdResult> result = RunPipeline(
+        coord, store, subs, partition, full_shape, options, all_cells);
     coord.Drain();
     if (result.ok()) result->dist = coord.stats();
     return result;

@@ -4,9 +4,10 @@
 // Shared building blocks of the two D-M2TD execution backends. The
 // in-process pool tasks (dm2td.cc) and the multi-process task bodies
 // (dm2td_tasks.cc) both compute through these functions, so the backends
-// agree bit for bit: identical per-group arithmetic plus the canonical
-// inter-phase ordering defined by SortJoinCells is what makes results
-// independent of worker count, shard count, and kill schedule.
+// agree bit for bit: identical per-group arithmetic (SumPivotGroup), pivot
+// records in ascending key order, and one SeparableCore::AddToCore is what
+// makes results independent of worker count, shard count, and kill
+// schedule.
 
 #include <cstdint>
 #include <span>
@@ -15,6 +16,7 @@
 
 #include "core/dm2td.h"
 #include "core/pf_partition.h"
+#include "core/separable_core.h"
 #include "linalg/matrix.h"
 #include "tensor/sparse_tensor.h"
 #include "util/result.h"
@@ -34,74 +36,6 @@ struct GramPiece {
   std::size_t sub_mode = 0;
   linalg::Matrix gram;
 };
-
-/// A cell of the join tensor (and of the phase-3 intermediates), in
-/// original mode order.
-struct JoinCell {
-  std::vector<std::uint32_t> idx;
-  double value = 0.0;
-};
-
-/// Mode geometry shared by every phase: the pivot/side split of the
-/// original modes and their extents.
-struct JobGeometry {
-  std::size_t num_modes = 0;
-  std::size_t k = 0;  // number of pivot modes
-  std::vector<std::size_t> pivot_modes, side1_modes, side2_modes;
-  std::vector<std::uint64_t> pivot_dims, side1_dims, side2_dims;
-};
-
-inline std::vector<std::uint64_t> ModeDims(
-    const std::vector<std::uint64_t>& full_shape,
-    const std::vector<std::size_t>& modes) {
-  std::vector<std::uint64_t> dims;
-  dims.reserve(modes.size());
-  for (std::size_t m : modes) dims.push_back(full_shape[m]);
-  return dims;
-}
-
-inline JobGeometry MakeGeometry(const PfPartition& partition,
-                                const std::vector<std::uint64_t>& full_shape) {
-  JobGeometry g;
-  g.num_modes = full_shape.size();
-  g.k = partition.pivot_modes.size();
-  g.pivot_modes = partition.pivot_modes;
-  g.side1_modes = partition.side1_modes;
-  g.side2_modes = partition.side2_modes;
-  g.pivot_dims = ModeDims(full_shape, partition.pivot_modes);
-  g.side1_dims = ModeDims(full_shape, partition.side1_modes);
-  g.side2_dims = ModeDims(full_shape, partition.side2_modes);
-  return g;
-}
-
-inline std::uint64_t PivotKey(const std::vector<std::uint32_t>& idx,
-                              const std::vector<std::uint64_t>& pivot_dims) {
-  std::uint64_t key = 0;
-  for (std::size_t i = 0; i < pivot_dims.size(); ++i) {
-    key = key * pivot_dims[i] + idx[i];
-  }
-  return key;
-}
-
-inline std::uint64_t SideKey(const std::vector<std::uint32_t>& idx,
-                             std::size_t k,
-                             const std::vector<std::uint64_t>& side_dims) {
-  std::uint64_t key = 0;
-  for (std::size_t i = 0; i < side_dims.size(); ++i) {
-    key = key * side_dims[i] + idx[k + i];
-  }
-  return key;
-}
-
-inline void ScatterKey(std::uint64_t key,
-                       const std::vector<std::uint64_t>& dims,
-                       const std::vector<std::size_t>& modes,
-                       std::vector<std::uint32_t>* out) {
-  for (std::size_t i = dims.size(); i-- > 0;) {
-    (*out)[modes[i]] = static_cast<std::uint32_t>(key % dims[i]);
-    key /= dims[i];
-  }
-}
 
 /// Every stored cell of both sub-tensors: x1's (kappa 1), then x2's
 /// (kappa 2), each in storage order — the global input order of phases 1
@@ -123,17 +57,6 @@ inline std::vector<TensorCell> CollectCells(const SubEnsembles& subs) {
   return cells;
 }
 
-/// Stable ascending order of `keys`, as record indices: an LSD radix
-/// sort over 16-bit digits, one pass per digit the largest key needs.
-std::vector<std::size_t> StableKeyOrder(const std::vector<std::uint64_t>& keys);
-
-/// Canonical inter-phase ordering: lexicographic on the index vector.
-/// Phase-2 and phase-3 outputs have globally unique index vectors, so
-/// this is a total order independent of which worker/shard produced a
-/// cell — the keystone of backend/worker-count bit-identity. Sorted by
-/// StableKeyOrder on each cell's row-major rank.
-void SortJoinCells(std::vector<JoinCell>* cells);
-
 /// Phase-1 reducer body: builds one sub-tensor from its cells and emits
 /// the per-mode Gram pieces. Input cells must have unique indices (they
 /// come from a coalesced sub-tensor), so SortAndCoalesce canonicalizes
@@ -142,50 +65,17 @@ Status BuildGramsForSub(int kappa, const std::vector<std::uint64_t>& shape,
                         const std::vector<TensorCell>& cells,
                         std::vector<GramPiece>* out);
 
-/// Phase-2 reducer body: joins one pivot group. `cells` must arrive in
-/// global input order (both backends guarantee this) so the join output
-/// sequence is reproducible. Appends to `out`.
-void JoinPivotGroup(std::uint64_t pivot_key,
-                    std::span<const TensorCell> cells,
-                    const JobGeometry& geometry, bool zero_join,
-                    const std::vector<std::uint64_t>& cand1,
-                    const std::vector<std::uint64_t>& cand2,
-                    std::vector<JoinCell>* out);
-
-/// Phase-3 fiber key of `cell` for mode `n`: the row-major rank over all
-/// modes except `n` under `current_shape`.
-inline std::uint64_t Phase3FiberKey(
-    const JoinCell& cell, std::size_t n,
-    const std::vector<std::uint64_t>& current_shape) {
-  std::uint64_t key = 0;
-  for (std::size_t m = 0; m < current_shape.size(); ++m) {
-    if (m == n) continue;
-    key = key * current_shape[m] + cell.idx[m];
-  }
-  return key;
-}
-
-/// Phase-3 reducer body: contracts one fiber (all (i_n, v) pairs sharing
-/// the Phase3FiberKey `key` under `current_shape`) with `factor`,
-/// appending the non-zero results. `fiber` must arrive in global input
-/// order.
-void ContractFiber(std::uint64_t key,
-                   std::span<const std::pair<std::uint32_t, double>> fiber,
-                   const linalg::Matrix& factor, std::size_t n,
-                   const std::vector<std::uint64_t>& current_shape,
-                   std::vector<JoinCell>* out);
+/// Phase-2 reducer body: the partial sums of one pivot group. `cells`
+/// must arrive in global input order (both backends guarantee this), so
+/// the sums are reproducible.
+PivotSums SumPivotGroup(const SeparableCore& sep, std::uint64_t pivot_key,
+                        std::span<const TensorCell> cells);
 
 /// Argument validation shared by both backends.
 Status ValidateDm2tdArgs(const SubEnsembles& subs,
                          const PfPartition& partition,
                          const std::vector<std::uint64_t>& full_shape,
                          const DM2tdOptions& options);
-
-/// Zero-join candidate side-key sets, gathered globally (sorted).
-void GatherZeroJoinCandidates(const std::vector<TensorCell>& all_cells,
-                              const JobGeometry& geometry,
-                              std::vector<std::uint64_t>* cand1,
-                              std::vector<std::uint64_t>* cand2);
 
 }  // namespace m2td::core::dm2td_internal
 

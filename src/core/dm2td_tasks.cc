@@ -17,8 +17,6 @@
 namespace m2td::core::dm2td_tasks {
 
 using dm2td_internal::GramPiece;
-using dm2td_internal::JobGeometry;
-using dm2td_internal::JoinCell;
 using dm2td_internal::TensorCell;
 
 namespace {
@@ -65,10 +63,6 @@ class ByteReader {
 std::string CellSplitName(int split) {
   return "input/cells/split" + std::to_string(split);
 }
-std::string P3SplitName(int mode, int split) {
-  return "input/p3_" + std::to_string(mode) + "/split" +
-         std::to_string(split);
-}
 std::string FactorName(int mode) {
   return "input/factor" + std::to_string(mode);
 }
@@ -114,55 +108,31 @@ void MaybeStragglerSleep(const TaskRequest& task) {
 
 Status RunMapTask(const io::ShuffleStore& store, const DistJobConfig& config,
                   const TaskRequest& task) {
-  const JobGeometry geometry = GeometryOf(config);
-  const int shards = config.shards;
-  std::vector<std::string> encoded(shards);
-
-  if (task.phase == "p1map" || task.phase == "p2map") {
-    M2TD_ASSIGN_OR_RETURN(std::string bytes,
-                          store.ReadBlob(CellSplitName(task.index), "input"));
-    M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> cells, DecodeCells(bytes));
-    std::vector<std::vector<TensorCell>> buckets(shards);
-    for (TensorCell& cell : cells) {
-      // Phase 1 shards by sub-tensor, phase 2 by pivot hash — both
-      // functions of the record alone, so sharding is identical for any
-      // worker count and any split boundaries.
-      const std::uint64_t shard =
-          task.phase == "p1map"
-              ? static_cast<std::uint64_t>(cell.kappa - 1) %
-                    static_cast<std::uint64_t>(shards)
-              : dm2td_internal::PivotKey(cell.idx, geometry.pivot_dims) %
-                    static_cast<std::uint64_t>(shards);
-      buckets[shard].push_back(std::move(cell));
+  const std::uint64_t shards = static_cast<std::uint64_t>(config.shards);
+  M2TD_ASSIGN_OR_RETURN(std::string bytes,
+                        store.ReadBlob(CellSplitName(task.index), "input"));
+  M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> cells, DecodeCells(bytes));
+  std::vector<std::vector<TensorCell>> buckets(shards);
+  for (TensorCell& cell : cells) {
+    // Phase 1 shards by sub-tensor, phase 2 by the row-major pivot key —
+    // both functions of the record alone, so sharding is identical for
+    // any worker count and any split boundaries.
+    std::uint64_t key = static_cast<std::uint64_t>(cell.kappa - 1);
+    if (task.phase == "p2map") {
+      key = 0;
+      for (std::size_t i = 0; i < config.pivot_modes.size(); ++i) {
+        key = key * config.full_shape[config.pivot_modes[i]] + cell.idx[i];
+      }
     }
-    for (int r = 0; r < shards; ++r) {
-      if (!buckets[r].empty()) encoded[r] = EncodeCells(buckets[r]);
-    }
-  } else {  // p3map_<n>
-    M2TD_ASSIGN_OR_RETURN(
-        std::string bytes,
-        store.ReadBlob(P3SplitName(task.mode, task.index), "input"));
-    M2TD_ASSIGN_OR_RETURN(std::vector<JoinCell> cells,
-                          DecodeJoinCells(bytes));
-    std::vector<std::vector<FiberPair>> buckets(shards);
-    for (const JoinCell& cell : cells) {
-      const std::uint64_t key = dm2td_internal::Phase3FiberKey(
-          cell, static_cast<std::size_t>(task.mode), task.shape);
-      buckets[key % static_cast<std::uint64_t>(shards)].push_back(
-          FiberPair{key, cell.idx[static_cast<std::size_t>(task.mode)],
-                    cell.value});
-    }
-    for (int r = 0; r < shards; ++r) {
-      if (!buckets[r].empty()) encoded[r] = EncodeFiberPairs(buckets[r]);
-    }
+    buckets[key % shards].push_back(std::move(cell));
   }
 
   std::vector<std::string> blob_names;
-  for (int r = 0; r < shards; ++r) {
-    if (encoded[r].empty()) continue;
+  for (std::uint64_t r = 0; r < shards; ++r) {
+    if (buckets[r].empty()) continue;
     const std::string name = io::ShuffleStore::BlobName(
         task.phase, task.index, task.attempt, "shard" + std::to_string(r));
-    M2TD_RETURN_IF_ERROR(store.WriteBlob(name, encoded[r]));
+    M2TD_RETURN_IF_ERROR(store.WriteBlob(name, EncodeCells(buckets[r])));
     blob_names.push_back(name);
   }
   MaybeChaosSleep();
@@ -199,7 +169,6 @@ Result<std::vector<std::string>> ReadShardBlobs(
 
 Status RunReduceTask(const io::ShuffleStore& store,
                      const DistJobConfig& config, const TaskRequest& task) {
-  const JobGeometry geometry = GeometryOf(config);
   const std::string map_phase = MapPhaseOf(task.phase);
   M2TD_ASSIGN_OR_RETURN(
       std::vector<std::string> payloads,
@@ -225,16 +194,21 @@ Status RunReduceTask(const io::ShuffleStore& store,
           &pieces));
     }
     out_bytes = EncodeGramPieces(pieces);
-  } else if (task.phase == "p2red") {
-    std::vector<std::uint64_t> cand1, cand2;
-    if (config.zero_join) {
-      M2TD_ASSIGN_OR_RETURN(std::string c1,
-                            store.ReadBlob("input/cand1", "input"));
-      M2TD_ASSIGN_OR_RETURN(std::string c2,
-                            store.ReadBlob("input/cand2", "input"));
-      M2TD_ASSIGN_OR_RETURN(cand1, DecodeU64List(c1));
-      M2TD_ASSIGN_OR_RETURN(cand2, DecodeU64List(c2));
+  } else {  // p2red
+    const std::size_t num_modes = config.full_shape.size();
+    std::vector<linalg::Matrix> factors(num_modes);
+    for (std::size_t n = 0; n < num_modes; ++n) {
+      M2TD_ASSIGN_OR_RETURN(
+          std::string factor_bytes,
+          store.ReadBlob(FactorName(static_cast<int>(n)), "input"));
+      M2TD_ASSIGN_OR_RETURN(factors[n], DecodeMatrix(factor_bytes));
     }
+    M2TD_ASSIGN_OR_RETURN(
+        const SeparableCore sep,
+        SeparableCore::Make(PfPartition{config.pivot_modes,
+                                        config.side1_modes,
+                                        config.side2_modes},
+                            config.full_shape, factors));
     // Group by pivot key, preserving global arrival order within each
     // group; fold groups in ascending key order (canonical).
     std::map<std::uint64_t, std::vector<TensorCell>> groups;
@@ -242,37 +216,15 @@ Status RunReduceTask(const io::ShuffleStore& store,
       M2TD_ASSIGN_OR_RETURN(std::vector<TensorCell> part,
                             DecodeCells(bytes));
       for (TensorCell& cell : part) {
-        const std::uint64_t key =
-            dm2td_internal::PivotKey(cell.idx, geometry.pivot_dims);
+        const std::uint64_t key = sep.PivotKey(cell.idx);
         groups[key].push_back(std::move(cell));
       }
     }
-    std::vector<JoinCell> out;
+    std::vector<PivotSums> out;
     for (const auto& [key, group] : groups) {
-      dm2td_internal::JoinPivotGroup(key, group, geometry, config.zero_join,
-                                     cand1, cand2, &out);
+      out.push_back(dm2td_internal::SumPivotGroup(sep, key, group));
     }
-    out_bytes = EncodeJoinCells(out);
-  } else {  // p3red_<n>
-    const std::size_t n = static_cast<std::size_t>(task.mode);
-    M2TD_ASSIGN_OR_RETURN(
-        std::string factor_bytes,
-        store.ReadBlob(FactorName(task.mode), "input"));
-    M2TD_ASSIGN_OR_RETURN(linalg::Matrix factor, DecodeMatrix(factor_bytes));
-    std::map<std::uint64_t, std::vector<std::pair<std::uint32_t, double>>>
-        groups;
-    for (const std::string& bytes : payloads) {
-      M2TD_ASSIGN_OR_RETURN(std::vector<FiberPair> part,
-                            DecodeFiberPairs(bytes));
-      for (const FiberPair& pair : part) {
-        groups[pair.key].emplace_back(pair.i, pair.v);
-      }
-    }
-    std::vector<JoinCell> out;
-    for (const auto& [key, fiber] : groups) {
-      dm2td_internal::ContractFiber(key, fiber, factor, n, task.shape, &out);
-    }
-    out_bytes = EncodeJoinCells(out);
+    out_bytes = EncodePivotSums(out);
   }
 
   const std::string name = io::ShuffleStore::BlobName(
@@ -310,7 +262,6 @@ Status SaveJobConfig(const std::string& path, const DistJobConfig& config) {
     write_modes("side1_modes", config.side1_modes);
     write_modes("side2_modes", config.side2_modes);
     out << "shards " << config.shards << "\n";
-    out << "zero_join " << (config.zero_join ? 1 : 0) << "\n";
     out.flush();
     if (!out) return Status::IOError("job config write failed");
     return Status::OK();
@@ -356,32 +307,11 @@ Result<DistJobConfig> LoadJobConfig(const std::string& path) {
   M2TD_RETURN_IF_ERROR(read_modes("pivot_modes", &config.pivot_modes));
   M2TD_RETURN_IF_ERROR(read_modes("side1_modes", &config.side1_modes));
   M2TD_RETURN_IF_ERROR(read_modes("side2_modes", &config.side2_modes));
-  int zero_join = 0;
   if (!(in >> token >> config.shards) || token != "shards" ||
       config.shards <= 0) {
     return Status::IOError("malformed job config: shards");
   }
-  if (!(in >> token >> zero_join) || token != "zero_join") {
-    return Status::IOError("malformed job config: zero_join");
-  }
-  config.zero_join = zero_join != 0;
   return config;
-}
-
-dm2td_internal::JobGeometry GeometryOf(const DistJobConfig& config) {
-  JobGeometry g;
-  g.num_modes = config.full_shape.size();
-  g.k = config.pivot_modes.size();
-  g.pivot_modes = config.pivot_modes;
-  g.side1_modes = config.side1_modes;
-  g.side2_modes = config.side2_modes;
-  g.pivot_dims = dm2td_internal::ModeDims(config.full_shape,
-                                          config.pivot_modes);
-  g.side1_dims = dm2td_internal::ModeDims(config.full_shape,
-                                          config.side1_modes);
-  g.side2_dims = dm2td_internal::ModeDims(config.full_shape,
-                                          config.side2_modes);
-  return g;
 }
 
 std::string MapPhaseOf(const std::string& reduce_phase) {
@@ -397,9 +327,6 @@ std::string EncodeTaskFrame(const TaskRequest& task) {
   frame += " " + task.phase;
   frame += " " + std::to_string(task.index);
   frame += " " + std::to_string(task.attempt);
-  frame += " " + std::to_string(task.mode);
-  frame += " " + std::to_string(task.shape.size());
-  for (std::uint64_t d : task.shape) frame += " " + std::to_string(d);
   return frame;
 }
 
@@ -407,18 +334,12 @@ Result<TaskRequest> DecodeTaskFrame(const std::string& frame) {
   std::istringstream in(frame);
   std::string word;
   int is_map = 0;
-  std::size_t nshape = 0;
   TaskRequest task;
-  if (!(in >> word >> is_map >> task.phase >> task.index >> task.attempt >>
-        task.mode >> nshape) ||
+  if (!(in >> word >> is_map >> task.phase >> task.index >> task.attempt) ||
       word != "task") {
     return Status::IOError("malformed task frame '" + frame + "'");
   }
   task.is_map = is_map != 0;
-  task.shape.resize(nshape);
-  for (std::uint64_t& d : task.shape) {
-    if (!(in >> d)) return Status::IOError("malformed task frame shape");
-  }
   return task;
 }
 
@@ -457,62 +378,43 @@ Result<std::vector<TensorCell>> DecodeCells(const std::string& bytes) {
   return cells;
 }
 
-std::string EncodeJoinCells(const std::vector<JoinCell>& cells) {
+std::string EncodePivotSums(const std::vector<PivotSums>& sums) {
   std::string out;
-  PutU64(&out, cells.size());
-  for (const JoinCell& cell : cells) {
-    PutU32(&out, static_cast<std::uint32_t>(cell.idx.size()));
-    for (std::uint32_t i : cell.idx) PutU32(&out, i);
-    PutF64(&out, cell.value);
+  PutU64(&out, sums.size());
+  for (const PivotSums& s : sums) {
+    PutU64(&out, s.pivot_key);
+    PutU64(&out, s.count1);
+    PutU64(&out, s.count2);
+    for (const std::vector<double>* v : {&s.a1, &s.c1, &s.a2, &s.c2}) {
+      PutU64(&out, v->size());
+      for (double x : *v) PutF64(&out, x);
+    }
   }
   return out;
 }
 
-Result<std::vector<JoinCell>> DecodeJoinCells(const std::string& bytes) {
+Result<std::vector<PivotSums>> DecodePivotSums(const std::string& bytes) {
   ByteReader reader(bytes);
   std::uint64_t count = 0;
   M2TD_RETURN_IF_ERROR(reader.U64(&count));
-  std::vector<JoinCell> cells;
-  cells.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, bytes.size() / 12 + 1)));
-  for (std::uint64_t e = 0; e < count; ++e) {
-    JoinCell cell;
-    std::uint32_t arity = 0;
-    M2TD_RETURN_IF_ERROR(reader.U32(&arity));
-    cell.idx.resize(arity);
-    for (std::uint32_t& i : cell.idx) M2TD_RETURN_IF_ERROR(reader.U32(&i));
-    M2TD_RETURN_IF_ERROR(reader.F64(&cell.value));
-    cells.push_back(std::move(cell));
+  std::vector<PivotSums> sums;
+  for (std::uint64_t r = 0; r < count; ++r) {
+    PivotSums s;
+    M2TD_RETURN_IF_ERROR(reader.U64(&s.pivot_key));
+    M2TD_RETURN_IF_ERROR(reader.U64(&s.count1));
+    M2TD_RETURN_IF_ERROR(reader.U64(&s.count2));
+    for (std::vector<double>* v : {&s.a1, &s.c1, &s.a2, &s.c2}) {
+      std::uint64_t size = 0;
+      M2TD_RETURN_IF_ERROR(reader.U64(&size));
+      if (size > bytes.size() / sizeof(double)) {
+        return Status::IOError("truncated shuffle record");
+      }
+      v->resize(static_cast<std::size_t>(size));
+      for (double& x : *v) M2TD_RETURN_IF_ERROR(reader.F64(&x));
+    }
+    sums.push_back(std::move(s));
   }
-  return cells;
-}
-
-std::string EncodeFiberPairs(const std::vector<FiberPair>& pairs) {
-  std::string out;
-  PutU64(&out, pairs.size());
-  for (const FiberPair& pair : pairs) {
-    PutU64(&out, pair.key);
-    PutU32(&out, pair.i);
-    PutF64(&out, pair.v);
-  }
-  return out;
-}
-
-Result<std::vector<FiberPair>> DecodeFiberPairs(const std::string& bytes) {
-  ByteReader reader(bytes);
-  std::uint64_t count = 0;
-  M2TD_RETURN_IF_ERROR(reader.U64(&count));
-  std::vector<FiberPair> pairs;
-  pairs.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, bytes.size() / 20 + 1)));
-  for (std::uint64_t e = 0; e < count; ++e) {
-    FiberPair pair;
-    M2TD_RETURN_IF_ERROR(reader.U64(&pair.key));
-    M2TD_RETURN_IF_ERROR(reader.U32(&pair.i));
-    M2TD_RETURN_IF_ERROR(reader.F64(&pair.v));
-    pairs.push_back(pair);
-  }
-  return pairs;
+  return sums;
 }
 
 std::string EncodeMatrix(const linalg::Matrix& matrix) {
@@ -578,25 +480,6 @@ Result<std::vector<GramPiece>> DecodeGramPieces(const std::string& bytes) {
     pieces.push_back(std::move(piece));
   }
   return pieces;
-}
-
-std::string EncodeU64List(const std::vector<std::uint64_t>& values) {
-  std::string out;
-  PutU64(&out, values.size());
-  for (std::uint64_t v : values) PutU64(&out, v);
-  return out;
-}
-
-Result<std::vector<std::uint64_t>> DecodeU64List(const std::string& bytes) {
-  ByteReader reader(bytes);
-  std::uint64_t count = 0;
-  M2TD_RETURN_IF_ERROR(reader.U64(&count));
-  if (count * sizeof(std::uint64_t) > bytes.size()) {
-    return Status::IOError("truncated u64 list blob");
-  }
-  std::vector<std::uint64_t> values(static_cast<std::size_t>(count));
-  for (std::uint64_t& v : values) M2TD_RETURN_IF_ERROR(reader.U64(&v));
-  return values;
 }
 
 // ------------------------------------------------------------- execution

@@ -8,14 +8,14 @@
 // their outputs to the durable io::ShuffleStore, so any task can be
 // replayed on any worker after a death.
 //
-// Phase names: "p1map"/"p1red" (sub-tensor Grams), "p2map"/"p2red"
-// (JE-stitch, sharded by pivot hash), "p3map_<n>"/"p3red_<n>" (TTM for
-// mode n). Map task m of every phase reads input split m (fixed split
-// count = shards, independent of worker count) and writes one blob per
-// reduce shard; reduce task r concatenates the committed shard-r blobs
-// in map-task order — reproducing the global input order — groups by
-// key, and folds groups in ascending key order. Determinism therefore
-// never depends on which worker ran what.
+// Phase names: "p1map"/"p1red" (sub-tensor Grams) and "p2map"/"p2red"
+// (per-pivot partial sums, sharded by pivot hash); the core is summed
+// from the p2red records on the coordinator. Map task m of every phase
+// reads input split m (fixed split count = shards, independent of worker
+// count) and writes one blob per reduce shard; reduce task r concatenates
+// the committed shard-r blobs in map-task order — reproducing the global
+// input order — groups by key, and folds groups in ascending key order.
+// Determinism therefore never depends on which worker ran what.
 
 #include <cstdint>
 #include <string>
@@ -67,14 +67,10 @@ struct DistJobConfig {
   std::vector<std::uint64_t> full_shape, shape1, shape2;
   std::vector<std::size_t> pivot_modes, side1_modes, side2_modes;
   int shards = 0;
-  bool zero_join = false;
 };
 
 Status SaveJobConfig(const std::string& path, const DistJobConfig& config);
 Result<DistJobConfig> LoadJobConfig(const std::string& path);
-
-/// Geometry derived from the config (same as the thread backend's).
-dm2td_internal::JobGeometry GeometryOf(const DistJobConfig& config);
 
 /// One task assignment as carried by the wire protocol.
 struct TaskRequest {
@@ -82,27 +78,15 @@ struct TaskRequest {
   std::string phase;
   int index = 0;
   int attempt = 0;
-  /// Phase-3 only: the mode being contracted and the tensor shape at
-  /// this point of the TTM chain (it changes after every mode job).
-  int mode = -1;
-  std::vector<std::uint64_t> shape;
 };
 
-/// "p1red" -> "p1map", "p3red_2" -> "p3map_2": the map phase a reduce
-/// phase consumes.
+/// "p1red" -> "p1map": the map phase a reduce phase consumes.
 std::string MapPhaseOf(const std::string& reduce_phase);
 
 /// Wire form of a task assignment ("task <is_map> <phase> <index>
-/// <attempt> <mode> <nshape> <d0> ..."), carried as one frame payload.
+/// <attempt>"), carried as one frame payload.
 std::string EncodeTaskFrame(const TaskRequest& task);
 Result<TaskRequest> DecodeTaskFrame(const std::string& frame);
-
-/// A (key, i_n, value) record of the phase-3 shuffle.
-struct FiberPair {
-  std::uint64_t key = 0;
-  std::uint32_t i = 0;
-  double v = 0.0;
-};
 
 // Little-endian binary record codecs for the shuffle blobs. Decoders are
 // bounds-checked and return IOError on truncation (a failed CRC check
@@ -110,20 +94,14 @@ struct FiberPair {
 std::string EncodeCells(const std::vector<dm2td_internal::TensorCell>& cells);
 Result<std::vector<dm2td_internal::TensorCell>> DecodeCells(
     const std::string& bytes);
-std::string EncodeJoinCells(
-    const std::vector<dm2td_internal::JoinCell>& cells);
-Result<std::vector<dm2td_internal::JoinCell>> DecodeJoinCells(
-    const std::string& bytes);
-std::string EncodeFiberPairs(const std::vector<FiberPair>& pairs);
-Result<std::vector<FiberPair>> DecodeFiberPairs(const std::string& bytes);
+std::string EncodePivotSums(const std::vector<PivotSums>& sums);
+Result<std::vector<PivotSums>> DecodePivotSums(const std::string& bytes);
 std::string EncodeGramPieces(
     const std::vector<dm2td_internal::GramPiece>& pieces);
 Result<std::vector<dm2td_internal::GramPiece>> DecodeGramPieces(
     const std::string& bytes);
 std::string EncodeMatrix(const linalg::Matrix& matrix);
 Result<linalg::Matrix> DecodeMatrix(const std::string& bytes);
-std::string EncodeU64List(const std::vector<std::uint64_t>& values);
-Result<std::vector<std::uint64_t>> DecodeU64List(const std::string& bytes);
 
 /// Executes one task against the store: reads inputs, computes via the
 /// shared dm2td_internal bodies, durably writes + commits outputs.

@@ -1,10 +1,25 @@
 #include "core/experiment.h"
 
+#include "obs/trace.h"
 #include "tensor/tucker.h"
 #include "util/random.h"
 #include "util/timer.h"
 
 namespace m2td::core {
+
+namespace {
+
+/// Reconstruction accuracy of `tucker` against the ground truth, timed as
+/// the `score` span.
+Result<double> Score(const tensor::TuckerDecomposition& tucker,
+                     const tensor::DenseTensor& ground_truth) {
+  obs::ObsSpan span("score");
+  M2TD_ASSIGN_OR_RETURN(tensor::DenseTensor reconstructed,
+                        tensor::Reconstruct(tucker));
+  return tensor::ReconstructionAccuracy(reconstructed, ground_truth);
+}
+
+}  // namespace
 
 std::vector<std::uint64_t> UniformRanks(const ensemble::SimulationModel& model,
                                         std::uint64_t rank) {
@@ -42,10 +57,7 @@ Result<SchemeOutcome> RunConventional(ensemble::SimulationModel* model,
                           hosvd));
   outcome.decompose_seconds = timer.ElapsedSeconds();
 
-  M2TD_ASSIGN_OR_RETURN(tensor::DenseTensor reconstructed,
-                        tensor::Reconstruct(tucker));
-  outcome.accuracy = tensor::ReconstructionAccuracy(reconstructed,
-                                                    ground_truth);
+  M2TD_ASSIGN_OR_RETURN(outcome.accuracy, Score(tucker, ground_truth));
   return outcome;
 }
 
@@ -79,10 +91,8 @@ Result<SchemeOutcome> RunM2td(ensemble::SimulationModel* model,
   outcome.timings = result.timings;
   outcome.decompose_seconds = result.timings.TotalSeconds();
 
-  M2TD_ASSIGN_OR_RETURN(tensor::DenseTensor reconstructed,
-                        tensor::Reconstruct(result.tucker));
-  outcome.accuracy = tensor::ReconstructionAccuracy(reconstructed,
-                                                    ground_truth);
+  M2TD_ASSIGN_OR_RETURN(outcome.accuracy,
+                        Score(result.tucker, ground_truth));
   return outcome;
 }
 
@@ -104,10 +114,7 @@ Result<SchemeOutcome> RunUnionBaseline(const tensor::SparseTensor& ensemble_x,
                               ensemble_x.num_modes(), rank)));
   outcome.decompose_seconds = timer.ElapsedSeconds();
 
-  M2TD_ASSIGN_OR_RETURN(tensor::DenseTensor reconstructed,
-                        tensor::Reconstruct(tucker));
-  outcome.accuracy = tensor::ReconstructionAccuracy(reconstructed,
-                                                    ground_truth);
+  M2TD_ASSIGN_OR_RETURN(outcome.accuracy, Score(tucker, ground_truth));
   return outcome;
 }
 

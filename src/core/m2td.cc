@@ -1,12 +1,13 @@
 #include "core/m2td.h"
 
 #include <algorithm>
+#include <optional>
 
+#include "core/separable_core.h"
 #include "linalg/svd.h"
 #include "obs/trace.h"
 #include "robust/cancel.h"
 #include "tensor/matricize.h"
-#include "tensor/ttm.h"
 #include "util/logging.h"
 
 namespace m2td::core {
@@ -148,22 +149,22 @@ Result<M2tdResult> M2tdDecomposeImpl(
                   }));
   result.timings.sub_decompose_seconds = sub_span.End();
 
-  // --- JE-stitching. ---
+  // --- JE-stitching, join-free: the per-pivot partial sums. ---
   obs::ObsSpan stitch_span("stitch", obs::ObsSpan::kAlwaysTime);
   M2TD_ASSIGN_OR_RETURN(
-      tensor::SparseTensor join,
-      JeStitch(subs, partition, full_shape, options.stitch));
-  result.join_nnz = join.NumNonZeros();
+      const SeparableCore sep,
+      SeparableCore::Make(partition, full_shape, factors));
+  M2TD_ASSIGN_OR_RETURN(const std::vector<PivotSums> sums, sep.SumsOf(subs));
+  std::optional<CandidateSums> candidates;
+  if (options.stitch.zero_join) candidates = sep.CandidatesOf(subs);
+  result.join_nnz = SeparableCore::JoinNnz(sums, candidates);
   stitch_span.Annotate("join_nnz", result.join_nnz);
   result.timings.stitch_seconds = stitch_span.End();
 
-  // --- Core recovery: G = J x_1 U^(1)T ... x_N U^(N)T. ---
+  // --- Core recovery: G = J x_1 U^(1)T ... x_N U^(N)T, from the sums. ---
   obs::ObsSpan core_span("core_recovery", obs::ObsSpan::kAlwaysTime);
-  // CoreFromSparse's first hop walks the join tensor's CSF index (the
-  // join is freshly coalesced, so this is the build-and-use call).
-  core_span.Annotate("csf", std::uint64_t{join.IsSorted() ? 1u : 0u});
-  M2TD_ASSIGN_OR_RETURN(tensor::DenseTensor core,
-                        tensor::CoreFromSparse(join, factors));
+  tensor::DenseTensor core(sep.CoreShape());
+  M2TD_RETURN_IF_ERROR(sep.AddToCore(sums, candidates, &core));
   core_span.Annotate("core_elements", core.NumElements());
   result.timings.core_seconds = core_span.End();
 

@@ -68,8 +68,8 @@ struct M2tdResult {
   /// Tucker decomposition of the join tensor, factors in original mode
   /// order — directly comparable against the full-space ground truth.
   tensor::TuckerDecomposition tucker;
-  /// Non-zeros of the stitched join tensor (its effective density
-  /// numerator).
+  /// Non-zeros of the join tensor JeStitch would stitch (its effective
+  /// density numerator), counted from the pivot sums; J is never built.
   std::uint64_t join_nnz = 0;
   M2tdTimings timings;
 };
@@ -114,8 +114,9 @@ Result<std::vector<linalg::Matrix>> M2tdFactors(
 ///
 /// Factor matrices for pivot modes combine the two sub-tensor factors per
 /// `options.method`; non-pivot factors come from the owning sub-tensor.
-/// The join tensor is stitched (per `options.stitch`) only to recover the
-/// core — the N-modal tensor is never decomposed directly.
+/// The core of the join tensor (stitched per `options.stitch`) comes from
+/// per-pivot partial sums (SeparableCore), so the join is never
+/// materialized and the N-modal tensor is never decomposed directly.
 Result<M2tdResult> M2tdDecompose(const SubEnsembles& subs,
                                  const PfPartition& partition,
                                  const std::vector<std::uint64_t>& full_shape,

@@ -4,7 +4,7 @@
 #include <optional>
 #include <sstream>
 
-#include "core/je_stitch.h"
+#include "core/separable_core.h"
 #include "io/out_of_core.h"
 #include "io/tensor_io.h"
 #include "obs/metrics.h"
@@ -13,7 +13,6 @@
 #include "robust/checkpoint.h"
 #include "robust/durable.h"
 #include "robust/failpoint.h"
-#include "tensor/ttm.h"
 #include "util/timer.h"
 
 namespace m2td::core {
@@ -103,11 +102,9 @@ Result<M2tdResult> M2tdDecomposeFromStoresImpl(
   result.timings.sub_decompose_seconds = sub_span.End();
 
   // --- Core accumulated pivot-slab by pivot-slab. ---
-  std::vector<std::uint64_t> core_shape(num_modes);
-  for (std::size_t m = 0; m < num_modes; ++m) {
-    core_shape[m] = factors[m].cols();
-  }
-  tensor::DenseTensor core(core_shape);
+  M2TD_ASSIGN_OR_RETURN(const SeparableCore sep,
+                        SeparableCore::Make(partition, full_shape, factors));
+  tensor::DenseTensor core(sep.CoreShape());
 
   std::vector<std::uint64_t> pivot_dims;
   for (std::size_t m : partition.pivot_modes) {
@@ -200,37 +197,27 @@ Result<M2tdResult> M2tdDecomposeFromStoresImpl(
         M2TD_RETURN_IF_ERROR(robust::CheckCancelled());
         M2TD_RETURN_IF_ERROR(robust::CheckFailpoint("ooc.slab"));
         stitch_timer.Resume();
-        M2TD_ASSIGN_OR_RETURN(tensor::SparseTensor slab1,
+        SubEnsembles slab_subs;
+        M2TD_ASSIGN_OR_RETURN(slab_subs.x1,
                               ReadPivotSlab(store1, pivot_index, k));
-        M2TD_ASSIGN_OR_RETURN(tensor::SparseTensor slab2,
+        M2TD_ASSIGN_OR_RETURN(slab_subs.x2,
                               ReadPivotSlab(store2, pivot_index, k));
-        if (slab1.NumNonZeros() > 0 && slab2.NumNonZeros() > 0) {
-          SubEnsembles slab_subs;
-          slab_subs.x1 = std::move(slab1);
-          slab_subs.x2 = std::move(slab2);
-          M2TD_ASSIGN_OR_RETURN(
-              tensor::SparseTensor join_slab,
-              JeStitch(slab_subs, partition, full_shape, options.stitch));
-          slab_join_nnz = join_slab.NumNonZeros();
-          slab_span.Annotate("join_nnz", join_slab.NumNonZeros());
-          stitch_timer.Stop();
+        M2TD_ASSIGN_OR_RETURN(const std::vector<PivotSums> sums,
+                              sep.SumsOf(slab_subs));
+        slab_join_nnz = SeparableCore::JoinNnz(sums, std::nullopt);
+        slab_span.Annotate("join_nnz", slab_join_nnz);
+        stitch_timer.Stop();
 
-          core_timer.Resume();
-          if (join_slab.NumNonZeros() > 0) {
-            // CoreFromSparse's first hop builds and walks the slab join's
-            // CSF index; each slab is a fresh tensor, so this is a
-            // build-and-use call (annotated for trace attribution).
-            slab_span.Annotate("csf", std::uint64_t{1});
-            M2TD_ASSIGN_OR_RETURN(tensor::DenseTensor partial,
-                                  tensor::CoreFromSparse(join_slab, factors));
-            for (std::uint64_t i = 0; i < core.NumElements(); ++i) {
-              core.flat(i) += partial.flat(i);
-            }
-          }
-          core_timer.Stop();
-        } else {
-          stitch_timer.Stop();
+        core_timer.Resume();
+        if (slab_join_nnz > 0) {
+          // Add into a copy, committed only once the slab's term is
+          // complete: a cancelled pooled add must not leave `core` half
+          // updated.
+          tensor::DenseTensor next = core;
+          M2TD_RETURN_IF_ERROR(sep.AddToCore(sums, std::nullopt, &next));
+          core = std::move(next);
         }
+        core_timer.Stop();
         return Status::OK();
       }();
     } catch (const robust::CancelledError& error) {

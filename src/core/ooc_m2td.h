@@ -41,10 +41,10 @@ struct OocCheckpointOptions {
 ///    `options.init`; peak memory is one chunk slab plus an I_n x I_n
 ///    Gram.
 ///  - The join tensor is *never materialized*: join cells only pair
-///    entries sharing a pivot configuration, and core (TTM) contributions
-///    are additive over any partition of the join's entries — so the core
-///    is accumulated one pivot-slab join at a time. Peak memory is one
-///    pivot slab of each sub-tensor plus that slab's join.
+///    entries sharing a pivot configuration, so each pivot slab's core
+///    term comes from its partial sums (SeparableCore), added to the core
+///    slab by slab. Peak memory is one pivot slab of each sub-tensor plus
+///    two copies of the core.
 ///
 /// Each store must hold the corresponding side's sub-tensor in *sub-tensor
 /// mode order* (pivots first, then that side's free modes), with shapes

@@ -31,9 +31,8 @@ Status RejectEntry(const std::string& path, const Status& why) {
                                  "': " + why.message());
 }
 
-/// Bytes between the read position of `in` and the end of the file: the
-/// bound on what a declared entry count may claim before anything is
-/// reserved for it.
+}  // namespace
+
 std::uint64_t BytesLeft(std::istream& in) {
   const std::streampos here = in.tellg();
   in.seekg(0, std::ios::end);
@@ -42,8 +41,6 @@ std::uint64_t BytesLeft(std::istream& in) {
   if (here < 0 || end < here) return 0;
   return static_cast<std::uint64_t>(end - here);
 }
-
-}  // namespace
 
 Status SaveSparseText(const tensor::SparseTensor& x,
                       const std::string& path) {

@@ -1,6 +1,8 @@
 #ifndef M2TD_IO_TENSOR_IO_H_
 #define M2TD_IO_TENSOR_IO_H_
 
+#include <cstdint>
+#include <istream>
 #include <string>
 
 #include "tensor/dense_tensor.h"
@@ -38,6 +40,11 @@ Result<tensor::SparseTensor> LoadSparseBinary(const std::string& path);
 Status SaveDenseText(const tensor::DenseTensor& x, const std::string& path);
 
 Result<tensor::DenseTensor> LoadDenseText(const std::string& path);
+
+/// Bytes between the read position of `in` and the end of the file: the
+/// bound on what a declared element count may claim before anything is
+/// allocated for it (each text value takes at least two bytes).
+std::uint64_t BytesLeft(std::istream& in);
 
 }  // namespace m2td::io
 

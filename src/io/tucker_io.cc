@@ -3,6 +3,8 @@
 #include <fstream>
 #include <iomanip>
 
+#include "io/tensor_io.h"
+
 namespace m2td::io {
 
 namespace {
@@ -66,6 +68,10 @@ Result<tensor::TuckerDecomposition> LoadTucker(const std::string& path) {
         cols == 0) {
       return ParseFailed(path, "bad factor header");
     }
+    const std::uint64_t left = BytesLeft(in);
+    if (cols > left || rows > left / 2 / cols) {
+      return ParseFailed(path, "factor larger than the file");
+    }
     linalg::Matrix factor(rows, cols);
     for (std::size_t i = 0; i < rows; ++i) {
       for (std::size_t j = 0; j < cols; ++j) {
@@ -81,6 +87,8 @@ Result<tensor::TuckerDecomposition> LoadTucker(const std::string& path) {
     return ParseFailed(path, "missing core header");
   }
   std::vector<std::uint64_t> core_shape(modes);
+  const std::uint64_t max_elements = BytesLeft(in) / 2;
+  std::uint64_t elements = 1;
   for (std::size_t m = 0; m < modes; ++m) {
     if (!(in >> core_shape[m]) || core_shape[m] == 0) {
       return ParseFailed(path, "bad core shape");
@@ -88,6 +96,10 @@ Result<tensor::TuckerDecomposition> LoadTucker(const std::string& path) {
     if (core_shape[m] != tucker.factors[m].cols()) {
       return ParseFailed(path, "core dim does not match factor columns");
     }
+    if (core_shape[m] > max_elements / elements) {
+      return ParseFailed(path, "core larger than the file");
+    }
+    elements *= core_shape[m];
   }
   tensor::DenseTensor core(core_shape);
   for (std::uint64_t i = 0; i < core.NumElements(); ++i) {

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/experiment.h"
 #include "gtest/gtest.h"
 #include "obs/alloc.h"
 #include "obs/metrics.h"
@@ -216,6 +217,21 @@ std::size_t CountOccurrences(const std::string& text,
     ++count;
   }
   return count;
+}
+
+TEST_F(ObsTest, ExperimentRunRecordsScoreSpan) {
+  tensor::DenseTensor truth({3, 4, 2});
+  for (std::uint64_t i = 0; i < truth.NumElements(); ++i) {
+    truth.flat(i) = 1.0 + static_cast<double>(i % 5);
+  }
+  auto outcome = core::RunUnionBaseline(
+      tensor::SparseTensor::FromDense(truth), truth, 2, "union");
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  int scores = 0;
+  for (const SpanRecord& span : Tracer::Get().Spans()) {
+    if (span.name == "score") ++scores;
+  }
+  EXPECT_EQ(scores, 1);
 }
 
 TEST_F(ObsTest, ChromeTraceExportIsWellFormedAndDeterministic) {

@@ -101,6 +101,35 @@ TEST_F(TuckerIoTest, CorruptFilesRejected) {
   EXPECT_FALSE(LoadTucker(Path("bad3.tucker")).ok());
 }
 
+// Headers are bounded by the bytes left in the file before anything is
+// allocated: a giant declared size is an IOError, never a bad_alloc.
+TEST_F(TuckerIoTest, GiantFactorHeaderRejected) {
+  {
+    std::ofstream out(Path("giant_factor.tucker"));
+    out << "m2td-tucker 1\nmodes 1\nfactor 999999999 999999999\n1 2\n";
+  }
+  EXPECT_EQ(LoadTucker(Path("giant_factor.tucker")).status().code(),
+            StatusCode::kIOError);
+}
+
+TEST_F(TuckerIoTest, GiantCoreShapeRejected) {
+  // Eight 1 x 200 factors fit in a few KB; their 200^8-cell core does not.
+  {
+    std::ofstream out(Path("giant_core.tucker"));
+    out << "m2td-tucker 1\nmodes 8\n";
+    for (int m = 0; m < 8; ++m) {
+      out << "factor 1 200\n";
+      for (int j = 0; j < 200; ++j) out << "0 ";
+      out << "\n";
+    }
+    out << "core";
+    for (int m = 0; m < 8; ++m) out << " 200";
+    out << "\n1\n";
+  }
+  EXPECT_EQ(LoadTucker(Path("giant_core.tucker")).status().code(),
+            StatusCode::kIOError);
+}
+
 TEST_F(TuckerIoTest, InconsistentDecompositionRejectedOnSave) {
   tensor::TuckerDecomposition broken;
   broken.core = tensor::DenseTensor({2, 2});
